@@ -316,8 +316,8 @@ let justify_conv =
 let justify_arg =
   let doc =
     "Justification backend: sim (paper), podem (structural) or portfolio \
-     (race both plus random restarts across the worker pool).  Defaults \
-     to $(b,PDF_JUSTIFY), else sim."
+     (podem, then sim, then random-restart sim, stopping at the first \
+     test found).  Defaults to $(b,PDF_JUSTIFY), else sim."
   in
   Arg.(value & opt (some justify_conv) None & info [ "justify" ] ~doc)
 

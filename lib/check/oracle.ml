@@ -540,7 +540,7 @@ let check_justify_podem { circuit = c; seed } =
               fname c.Circuit.name
           | _ -> ()
         end;
-        (* The racing engine must be as sound as its members. *)
+        (* The portfolio chain must be as sound as its members. *)
         if !violation = None then
           match Justify.Engine.run portfolio ~rng ~reqs with
           | Some t when not (Test_pair.satisfies c t reqs) ->
@@ -707,24 +707,22 @@ let check_attrib { circuit = c; seed } =
     if n0 = 0 then Skip "empty P0"
     else begin
       let metric name = Metrics.value (Metrics.counter name) in
-      let run_with jobs =
+      let run_with justify jobs =
         with_default_jobs jobs (fun () ->
             let attrib = Attrib.create ~nets:(Circuit.num_nets c) in
             let names = List.map (fun (n, _, _) -> n) (attrib_ledger_lines (Attrib.snapshot attrib)) in
             let before = List.map metric names in
             let p0 = List.init n0 (fun i -> i) in
             let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-            let res = Atpg.enrich ~attrib c ~seed ~faults ~p0 ~p1 in
+            let res = Atpg.enrich ~attrib ~justify c ~seed ~faults ~p0 ~p1 in
             (* A batch fault-sim pass so the pool-merged packed path is
                part of the conservation window too. *)
             ignore (Fault_sim.detected_by_tests ~attrib c res.Atpg.tests faults);
             let after = List.map metric names in
             (Attrib.snapshot attrib, List.map2 ( - ) after before))
       in
-      let s1, d1 = run_with 1 in
-      let s3, d3 = run_with 3 in
       let violation = ref None in
-      let check_run jobs (s : Attrib.sheet) deltas =
+      let check_run kind jobs (s : Attrib.sheet) deltas =
         List.iter2
           (fun (name, total, per_net) delta ->
             if !violation = None then
@@ -732,9 +730,9 @@ let check_attrib { circuit = c; seed } =
                 violation :=
                   Some
                     (Printf.sprintf
-                       "effort not conserved on %s (%d jobs): sheet total \
-                        %d <> %s delta %d"
-                       c.Circuit.name jobs total name delta)
+                       "effort not conserved on %s (%s, %d jobs): sheet \
+                        total %d <> %s delta %d"
+                       c.Circuit.name kind jobs total name delta)
               else
                 match per_net with
                 | Some sum when sum <> total ->
@@ -742,32 +740,47 @@ let check_attrib { circuit = c; seed } =
                     Some
                       (Printf.sprintf
                          "per-net attribution of %s does not sum to its \
-                          total on %s (%d jobs): %d <> %d"
-                         name c.Circuit.name jobs sum total)
+                          total on %s (%s, %d jobs): %d <> %d"
+                         name c.Circuit.name kind jobs sum total)
                 | _ -> ())
           (attrib_ledger_lines s) deltas
       in
-      check_run 1 s1 d1;
-      check_run 3 s3 d3;
-      if !violation = None then begin
-        (* Merged sheets must be jobs-invariant, engine-variant counters
-           included: batch bounds are fixed, so even the incremental
-           dirty-cone work is identical at any pool size. *)
-        let arrays (s : Attrib.sheet) =
-          [ s.Attrib.trials; s.Attrib.trial_evals; s.Attrib.resim_cone;
-            s.Attrib.conflicts; s.Attrib.backtracks; s.Attrib.cand_evals;
-            s.Attrib.inc_resims ]
-        in
-        List.iter2
-          (fun a b ->
-            if !violation = None && a <> b then
-              violation :=
-                Some
-                  (Printf.sprintf
-                     "merged attribution depends on the pool size on %s"
-                     c.Circuit.name))
-          (arrays s1) (arrays s3)
-      end;
+      let check_kind justify =
+        let kind = Justify.kind_name justify in
+        let s1, d1 = run_with justify 1 in
+        let s3, d3 = run_with justify 3 in
+        check_run kind 1 s1 d1;
+        check_run kind 3 s3 d3;
+        if !violation = None then begin
+          (* Merged sheets must be jobs-invariant, engine-variant
+             counters included: batch bounds are fixed, so even the
+             incremental dirty-cone work is identical at any pool
+             size. *)
+          let arrays (s : Attrib.sheet) =
+            [ s.Attrib.trials; s.Attrib.trial_evals; s.Attrib.resim_cone;
+              s.Attrib.conflicts; s.Attrib.backtracks; s.Attrib.cand_evals;
+              s.Attrib.inc_resims ]
+          in
+          List.iter2
+            (fun a b ->
+              if !violation = None && a <> b then
+                violation :=
+                  Some
+                    (Printf.sprintf
+                       "merged attribution depends on the pool size on %s \
+                        (%s)"
+                       c.Circuit.name kind))
+            (arrays s1) (arrays s3)
+        end
+      in
+      (* The environment's backend, and the portfolio chain explicitly so
+         its conservation is checked on every run. *)
+      let kinds =
+        match Justify.default_kind () with
+        | Justify.Portfolio -> [ Justify.Portfolio ]
+        | k -> [ k; Justify.Portfolio ]
+      in
+      List.iter (fun k -> if !violation = None then check_kind k) kinds;
       match !violation with Some m -> Fail m | None -> Pass
     end
 

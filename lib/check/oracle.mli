@@ -30,7 +30,7 @@
       brute force: a [Found]/[Proved_unsatisfiable] disagreement in any
       direction is a violation, every [Found] test must re-simulate to
       satisfy its requirements through the independent scalar
-      simulator, and the racing portfolio engine's answers must
+      simulator, and the portfolio chain's answers must
       re-simulate too; this is the oracle that must catch the
       [Podem.set_injected_bug] implication mutation;
     - [robust-timing] — robust detection per {!Pdf_core.Fault_sim}

@@ -681,115 +681,76 @@ let default_kind () =
         (Printf.sprintf "PDF_JUSTIFY=%S: expected sim, podem or portfolio" s))
 
 module Engine = struct
-  module Pool = Pdf_par.Pool
-
   (* Alias the simulation engine's type before [t] is shadowed below. *)
   type sim_engine = t
 
   type member_impl = Sim_member of sim_engine | Podem_member of Podem.t
 
-  type member = {
-    label : string;
-    impl : member_impl;
-    sheet : Attrib.sheet option;
-        (* portfolio members charge a private sheet (they run
-           concurrently); [flush] folds these into the run's sheet in
-           member order.  [None] outside portfolio mode: the single
-           member charges the run's sheet directly. *)
-  }
+  (* Every member charges the run's attribution sheet directly: members
+     run one after another on the calling domain. *)
+  type member = { label : string; impl : member_impl }
 
   type t = {
     kind : kind;
-    members : member array; (* fixed priority order *)
-    parent : Attrib.sheet option;
+    members : member array; (* priority chain *)
     mutable last_winner : string;
   }
 
-  (* Portfolio composition: the structural engine first (deterministic,
+  (* Portfolio chain: the structural engine first (deterministic,
      complete up to budget), then the paper's simulation engine, then
-     [restarts] random-restart simulation members.  The order is the
-     winner priority. *)
+     [restarts] random-restart simulation members. *)
   let restarts = 2
 
   let create ?attrib ?(kind = default_kind ()) circuit =
+    let sim label = { label; impl = Sim_member (create ?attrib circuit) } in
+    let podem () =
+      { label = "podem"; impl = Podem_member (Podem.create ?attrib circuit) }
+    in
     let members =
       match kind with
-      | Sim ->
-        [| { label = "sim"; impl = Sim_member (create ?attrib circuit);
-             sheet = None } |]
-      | Podem ->
-        [| { label = "podem"; impl = Podem_member (Podem.create ?attrib circuit);
-             sheet = None } |]
+      | Sim -> [ sim "sim" ]
+      | Podem -> [ podem () ]
       | Portfolio ->
-        let member label mk =
-          let sheet =
-            Option.map
-              (fun (a : Attrib.sheet) -> Attrib.make_sheet ~nets:a.Attrib.nets)
-              attrib
-          in
-          { label; impl = mk sheet; sheet }
-        in
-        Array.of_list
-          (member "podem" (fun sheet -> Podem_member (Podem.create ?attrib:sheet circuit))
-          :: member "sim" (fun sheet -> Sim_member (create ?attrib:sheet circuit))
-          :: List.init restarts (fun i ->
-                 member
-                   (Printf.sprintf "sim-r%d" (i + 1))
-                   (fun sheet -> Sim_member (create ?attrib:sheet circuit))))
+        podem () :: sim "sim"
+        :: List.init restarts (fun i -> sim (Printf.sprintf "sim-r%d" (i + 1)))
     in
-    { kind; members; parent = attrib; last_winner = "" }
+    { kind; members = Array.of_list members; last_winner = "" }
 
   let kind t = t.kind
 
-  let run_member ~seed ~reqs m =
+  let run_member m ~rng ~reqs =
     match m.impl with
-    | Sim_member e -> run e ~rng:(Rng.create seed) ~reqs
+    | Sim_member e -> run e ~rng ~reqs
     | Podem_member p -> (
       match Podem.run p ~reqs with
       | Podem.Found test -> Some test
       | Podem.Proved_unsatisfiable | Podem.Gave_up -> None)
 
+  (* Walk the chain in order and stop at the first member that finds a
+     test.  A lone member consumes the caller's stream directly, so the
+     pure backends stay bit-identical to a bare engine; a longer chain
+     draws exactly one value per call and seeds member [i] from that draw
+     and [i], so a member's seed does not depend on which members ran
+     before it. *)
   let run t ~rng ~reqs =
-    match t.kind with
-    | Sim | Podem ->
-      let m = t.members.(0) in
-      let result =
-        match m.impl with
-        | Sim_member e -> run e ~rng ~reqs
-        | Podem_member p -> (
-          match Podem.run p ~reqs with
-          | Podem.Found test -> Some test
-          | Podem.Proved_unsatisfiable | Podem.Gave_up -> None)
-      in
-      if result <> None then t.last_winner <- m.label;
-      result
-    | Portfolio ->
-      (* Exactly one draw from the caller's stream per call, whatever
-         the member count or job count; the members derive their own
-         seeds from it and their index, honouring the pool's
-         no-shared-randomness rule. *)
-      let base = Int64.to_int (Rng.next rng) land max_int in
-      let pool = Pool.default () in
-      let results =
-        Pool.map_array pool
-          (fun i ->
-            let m = t.members.(i) in
-            run_member ~seed:(base lxor (0x9e3779b9 * (i + 1))) ~reqs m)
-          (Array.init (Array.length t.members) Fun.id)
-      in
-      (* Synchronisation point: every member ran to completion (their
-         effort counters are therefore jobs-invariant); the winner is
-         the first successful member in priority order. *)
-      let rec pick i =
-        if i >= Array.length results then None
-        else
-          match results.(i) with
-          | Some test ->
-            t.last_winner <- t.members.(i).label;
-            Some test
-          | None -> pick (i + 1)
-      in
-      pick 0
+    let n = Array.length t.members in
+    let member_rng =
+      if n = 1 then Fun.const rng
+      else
+        let base = Int64.to_int (Rng.next rng) land max_int in
+        fun i -> Rng.create (base lxor (0x9e3779b9 * (i + 1)))
+    in
+    let rec go i =
+      if i >= n then None
+      else
+        let m = t.members.(i) in
+        match run_member m ~rng:(member_rng i) ~reqs with
+        | Some _ as found ->
+          t.last_winner <- m.label;
+          found
+        | None -> go (i + 1)
+    in
+    go 0
 
   let winner t = t.last_winner
 
@@ -827,10 +788,10 @@ module Engine = struct
         deepest_level = f.Podem.deepest_level;
       }
 
-  (* Deterministic combination: the deepest conflict level over all
-     members, and the last-conflict net of the first member (in
-     priority order) that recorded one — a fixed rule, so the ledger's
-     forensic fields are jobs-invariant in portfolio mode too. *)
+  (* Deterministic combination: the deepest conflict level over the
+     members, and the last-conflict net of the first member (in chain
+     order) that recorded one.  Members the chain never reached since
+     the last reset recorded nothing, so only members that ran count. *)
   let forensics t =
     let fs = Array.map member_forensics t.members in
     let deepest =
@@ -854,15 +815,4 @@ module Engine = struct
         | Sim_member e -> reset_forensics e
         | Podem_member p -> Podem.reset_forensics p)
       t.members
-
-  let flush t =
-    match t.parent with
-    | None -> ()
-    | Some parent ->
-      Array.iter
-        (fun m ->
-          match m.sheet with
-          | Some sheet -> Attrib.add_sheet ~into:parent sheet
-          | None -> ())
-        t.members
 end

@@ -120,12 +120,11 @@ val run_complete :
 (** {2 Backend selection}
 
     The generation loop justifies through a dispatching {!Engine.t}
-    that hosts one of three backends (DESIGN.md §15): the paper's
-    simulation-based search, the structural {!Podem} engine, or a
-    portfolio racing both (plus random-restart simulation members)
-    across the {!Pdf_par.Pool}.  Selected by the [--justify] CLI flag /
-    serve-protocol field, falling back to the [PDF_JUSTIFY] environment
-    variable. *)
+    that walks a priority chain of backends (DESIGN.md §15): the
+    paper's simulation-based search, the structural {!Podem} engine,
+    or a portfolio chain trying PODEM first and then simulation
+    members.  Selected by the [--justify] CLI flag / serve-protocol
+    field, falling back to the [PDF_JUSTIFY] environment variable. *)
 
 type kind = Sim | Podem | Portfolio
 
@@ -143,13 +142,15 @@ val default_kind : unit -> kind
     an unknown value — a silently ignored engine selection would be a
     debugging trap), else {!Sim}. *)
 
-(** The dispatching engine used by {!Atpg.generate}.  Counter and
-    forensics accessors mirror the simulation engine's, summed over the
-    backend members; in portfolio mode every member runs each request
-    to completion ([run] is the synchronisation point) and the winner
-    is the first successful member in the fixed priority order [podem;
-    sim; sim-r1; sim-r2], so results, counters and the ledger are
-    byte-identical across [--jobs]. *)
+(** The dispatching engine used by {!Atpg.generate}: a priority chain
+    of members run in order on the calling domain, stopping at the
+    first one that finds a test.  {!Sim} is the chain [\[sim\]],
+    {!Podem} is [\[podem\]] and {!Portfolio} is [\[podem; sim; sim-r1;
+    sim-r2\]].  Counter and forensics accessors mirror the simulation
+    engine's, summed over the members; members after the winner do not
+    run, so they charge no effort.  Everything is sequential and
+    seeded, so results, counters and the ledger are byte-identical
+    across [--jobs]. *)
 module Engine : sig
   type engine_kind := kind
 
@@ -160,10 +161,8 @@ module Engine : sig
     ?kind:engine_kind ->
     Pdf_circuit.Circuit.t ->
     t
-  (** [kind] defaults to {!default_kind}.  In portfolio mode each
-      member charges a private attribution sheet (members run
-      concurrently); call {!flush} once at the end of the run to fold
-      them into [attrib] in fixed member order. *)
+  (** [kind] defaults to {!default_kind}.  Every member charges
+      [attrib] directly. *)
 
   val kind : t -> engine_kind
 
@@ -172,11 +171,12 @@ module Engine : sig
     rng:Pdf_util.Rng.t ->
     reqs:(int * Pdf_values.Req.t) list ->
     Test_pair.t option
-  (** Justify through the selected backend.  [Sim] passes [rng]
-      straight through (bit-identical to {!run} on a bare engine);
-      [Podem] ignores it (the structural search is deterministic);
-      [Portfolio] draws exactly one value from it per call and derives
-      member seeds from that draw and the member index. *)
+  (** Try the members in chain order; the first test found wins.  A
+      single-member chain passes [rng] straight through ([Sim] is
+      bit-identical to {!run} on a bare engine; [Podem] ignores it, the
+      structural search being deterministic); the [Portfolio] chain
+      draws exactly one value from it per call and derives each
+      member's seed from that draw and the member index. *)
 
   val winner : t -> string
   (** Member label of the most recent successful {!run} (["sim"],
@@ -199,14 +199,10 @@ module Engine : sig
       0 for the pure simulation backend. *)
 
   val forensics : t -> forensics
-  (** Deterministic combination over members: deepest conflict level is
-      the maximum, the last-conflict net comes from the first member in
-      priority order that recorded one. *)
+  (** Deterministic combination over the members that ran since the
+      last {!reset_forensics}: deepest conflict level is the maximum,
+      the last-conflict net comes from the first member in chain order
+      that recorded one. *)
 
   val reset_forensics : t -> unit
-
-  val flush : t -> unit
-  (** Fold portfolio members' private attribution sheets into the sheet
-      passed to {!create}, in fixed member order.  No-op otherwise; safe
-      to call exactly once, at the end of the run. *)
 end

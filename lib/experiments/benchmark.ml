@@ -560,7 +560,7 @@ let justify_suite =
     suite_doc =
       "Justification engines: the simulation-based search, the \
        branch-and-bound complete search, the structural PODEM engine \
-       and the racing portfolio over the longest faults, with aborted \
+       and the portfolio chain over the longest faults, with aborted \
        justifications as a telemetry unit";
     cases;
   }

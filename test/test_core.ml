@@ -887,14 +887,14 @@ let prop_podem_search_invariants =
 (* Engine-level goldens: sim / podem / portfolio                        *)
 (* ------------------------------------------------------------------ *)
 
-let enrich_with c ~seed kind ~n_p ~n_p0 =
+let enrich_with ?ledger c ~seed kind ~n_p ~n_p0 =
   let model = Delay_model.lines c in
   let ts = Target_sets.build c model ~n_p ~n_p0 in
   let faults = Fault_sim.prepare c ts.Target_sets.p in
   let n0 = min (List.length ts.Target_sets.p0) (Array.length faults) in
   let p0 = List.init n0 Fun.id in
   let p1 = List.init (Array.length faults - n0) (fun i -> n0 + i) in
-  Atpg.enrich c ~seed ~justify:kind ~faults ~p0 ~p1
+  Atpg.enrich ?ledger c ~seed ~justify:kind ~faults ~p0 ~p1
 
 (* Fixed-seed circuits drawn from the fuzz harness's deep and reconv
    grids (lib/check/fuzz.ml) where the simulation-based search aborts:
@@ -954,9 +954,9 @@ let test_engine_goldens () =
     goldens
 
 let test_portfolio_ledger_jobs_invariant () =
-  (* The portfolio races members across the pool, yet the ledger must be
-     byte-identical whatever the job count (DESIGN.md §15): members run
-     to completion and the winner is picked by fixed priority. *)
+  (* The portfolio chain runs its members sequentially, but the fault
+     simulation around it uses the pool: the ledger must be
+     byte-identical whatever the job count (DESIGN.md §15). *)
   let saved = Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs saved) @@ fun () ->
   let run jobs =
@@ -972,6 +972,68 @@ let test_portfolio_ledger_jobs_invariant () =
   check Alcotest.bool "ledger bytes identical at --jobs 1 vs 4" true
     (String.equal one four);
   check Alcotest.bool "ledger non-trivial" true (String.length one > 100)
+
+(* MD5 of a ledger's test records with their [justify] effort object
+   dropped: pattern, winning engine and fold list only. *)
+let test_records_digest l =
+  let out = Ledger.create () in
+  List.iter
+    (fun (r : Ledger.record) ->
+      if r.Ledger.kind = "test" then
+        Ledger.record out ~kind:"test"
+          (List.filter (fun (k, _) -> k <> "justify") r.Ledger.fields))
+    (Ledger.records l);
+  (Ledger.size out, Digest.to_hex (Digest.string (Ledger.to_jsonl out)))
+
+let test_portfolio_chain_identity () =
+  (* Pinned from the earlier portfolio that raced every member to
+     completion and kept the first success in priority order.  Stopping
+     at the first success must pick the same winner, pattern and fold
+     set for every test; only effort figures may differ. *)
+  List.iter
+    (fun (cname, c, n_p, n_p0, (tests, digest)) ->
+      let l = Ledger.create () in
+      ignore (enrich_with ~ledger:l c ~seed:9 Justify.Portfolio ~n_p ~n_p0);
+      let n, d = test_records_digest l in
+      check Alcotest.int (cname ^ " test records") tests n;
+      check Alcotest.string (cname ^ " test-record digest") digest d)
+    [
+      ("s27", s27, 40, 10, (7, "8b8881eb0bac49325bd6215bc20ae1a9"));
+      ("deep7", deep_circuit, 240, 40,
+       (17, "3e69d0f614fd41c9037663a739b2bdbd"));
+      ("reconv2", reconv_circuit, 240, 40,
+       (13, "1cf5cf65f4faf17fc7cbfa8b2cd54c50"));
+    ]
+
+let test_portfolio_charges_only_winner () =
+  (* PODEM heads the chain and satisfies every s27 fault, so the
+     simulation members never run: the engine's trials are exactly
+     PODEM's decisions, and the sheet's trial total (simulation trials
+     only) stays 0. *)
+  let sheet = Pdf_obs.Attrib.make_sheet ~nets:(Circuit.num_nets s27) in
+  let eng = Justify.Engine.create ~attrib:sheet ~kind:Justify.Portfolio s27 in
+  let reference = Podem.create s27 in
+  let rng = Rng.create 9 in
+  let total_decisions = ref 0 in
+  Array.iter
+    (fun (p : Fault_sim.prepared) ->
+      let reqs = p.Fault_sim.reqs in
+      let runs0 = Justify.Engine.runs eng
+      and trials0 = Justify.Engine.trials eng
+      and decisions0 = Podem.decisions reference in
+      check Alcotest.bool "found" true
+        (Justify.Engine.run eng ~rng ~reqs <> None);
+      ignore (Podem.run reference ~reqs);
+      let decisions = Podem.decisions reference - decisions0 in
+      total_decisions := !total_decisions + decisions;
+      check Alcotest.string "winner" "podem" (Justify.Engine.winner eng);
+      check Alcotest.int "one member ran" 1 (Justify.Engine.runs eng - runs0);
+      check Alcotest.int "trials = PODEM decisions" decisions
+        (Justify.Engine.trials eng - trials0))
+    s27_faults;
+  check Alcotest.bool "PODEM made decisions" true (!total_decisions > 0);
+  check Alcotest.int "sim members recorded 0 trials" 0
+    sheet.Pdf_obs.Attrib.t_trials
 
 let test_engine_records_name_winner () =
   (* Every test and detected-fault record carries the winning member's
@@ -1309,6 +1371,10 @@ let () =
           Alcotest.test_case "per-backend goldens" `Slow test_engine_goldens;
           Alcotest.test_case "portfolio ledger jobs-invariant" `Quick
             test_portfolio_ledger_jobs_invariant;
+          Alcotest.test_case "portfolio chain matches race" `Quick
+            test_portfolio_chain_identity;
+          Alcotest.test_case "portfolio charges only the winner" `Quick
+            test_portfolio_charges_only_winner;
           Alcotest.test_case "records name the winner" `Quick
             test_engine_records_name_winner;
         ] );
