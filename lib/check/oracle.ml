@@ -17,6 +17,7 @@ module Podem = Pdf_core.Podem
 module Timing = Pdf_core.Timing
 module Ordering = Pdf_core.Ordering
 module Ledger = Pdf_obs.Ledger
+module Attrib = Pdf_obs.Attrib
 module Pool = Pdf_par.Pool
 module Rng = Pdf_util.Rng
 
@@ -553,6 +554,98 @@ let check_justify_podem { circuit = c; seed } =
   end
 
 (* ------------------------------------------------------------------ *)
+(* justify-trial: the event-driven trial vs the full-cone scan          *)
+(* ------------------------------------------------------------------ *)
+
+(* Two engines, each with its own attribution sheet, hold the same
+   search under the same random partial assignment; every unspecified
+   cone bit is then tried both ways on each, one through the production
+   worklist and one through the reference scan.  The schedules must
+   agree on everything the search and the ledger can observe: the
+   verdict, the blamed conflict net, the evaluation count, the overlay
+   each trial leaves behind, and the per-net evaluation and conflict
+   charges. *)
+let check_justify_trial { circuit = c; seed } =
+  let _, _, faults = target_faults c in
+  if Array.length faults = 0 then Skip "no detectable target faults"
+  else begin
+    let module I = Justify.Internal in
+    let nets = Circuit.num_nets c in
+    let sheet_w = Attrib.make_sheet ~nets in
+    let sheet_r = Attrib.make_sheet ~nets in
+    let ew = Justify.create ~attrib:sheet_w c in
+    let er = Justify.create ~attrib:sheet_r c in
+    let rng = Rng.create seed in
+    let violation = ref None in
+    let fail fmt = Printf.ksprintf (fun m -> violation := Some m) fmt in
+    let check_search fname sw sr =
+      let pis = I.cone_pis sw in
+      let open_bits = ref [] in
+      (* Each cone bit is assigned with probability [density]/4, the
+         density drawn per search from 0..3. *)
+      let density = Rng.int rng 4 in
+      Array.iter
+        (fun pi ->
+          List.iter
+            (fun j ->
+              if Rng.int rng 4 < density then begin
+                let b = Rng.bool rng in
+                I.assign sw pi j b;
+                I.assign sr pi j b
+              end
+              else open_bits := (pi, j) :: !open_bits)
+            [ 1; 3 ])
+        pis;
+      List.iter
+        (fun (pi, j) ->
+          List.iter
+            (fun b ->
+              if !violation = None then begin
+                Justify.reset_forensics ew;
+                Justify.reset_forensics er;
+                let cw = I.trial sw pi j b in
+                let cr = I.reference_trial sr pi j b in
+                let what =
+                  Printf.sprintf "trial %s.%d=%b for %s on %s"
+                    (Circuit.net_name c pi) j b fname c.Circuit.name
+                in
+                let net_w = (Justify.forensics ew).Justify.last_net
+                and net_r = (Justify.forensics er).Justify.last_net in
+                if cw <> cr then
+                  fail "%s: worklist conflict=%b, reference scan conflict=%b"
+                    what cw cr
+                else if net_w <> net_r then
+                  fail "%s: worklist blames net %d, reference scan net %d" what
+                    net_w net_r
+                else if I.trial_evals sw <> I.trial_evals sr then
+                  fail "%s: worklist evaluated %d gates, reference scan %d" what
+                    (I.trial_evals sw) (I.trial_evals sr)
+                else if I.overlay sw <> I.overlay sr then
+                  fail "%s: overlay values differ" what
+              end)
+            [ false; true ])
+        (List.rev !open_bits);
+      if !violation = None then
+        if sheet_w.Attrib.trial_evals <> sheet_r.Attrib.trial_evals then
+          fail "per-net trial_evals differ for %s on %s" fname c.Circuit.name
+        else if sheet_w.Attrib.conflicts <> sheet_r.Attrib.conflicts then
+          fail "per-net conflicts differ for %s on %s" fname c.Circuit.name
+    in
+    let n_checked = min 12 (Array.length faults) in
+    for i = 0 to n_checked - 1 do
+      if !violation = None then begin
+        let reqs = faults.(i).Fault_sim.reqs in
+        let fname = Fault.to_string c faults.(i).Fault_sim.fault in
+        match (I.prepare ew ~reqs, I.prepare er ~reqs) with
+        | Some sw, Some sr -> check_search fname sw sr
+        | None, None -> ()
+        | _ -> fail "prepare disagrees for %s on %s" fname c.Circuit.name
+      end
+    done;
+    match !violation with Some m -> Fail m | None -> Pass
+  end
+
+(* ------------------------------------------------------------------ *)
 (* robust-timing: robust detection implies physical detection           *)
 (* ------------------------------------------------------------------ *)
 
@@ -674,7 +767,6 @@ let check_enrich_p0 { circuit = c; seed } =
 (* metric deltas, at 1 and 3 jobs; the merged sheets are identical      *)
 (* ------------------------------------------------------------------ *)
 
-module Attrib = Pdf_obs.Attrib
 module Metrics = Pdf_obs.Metrics
 
 (* Every counter the attribution layer mirrors.  The first component
@@ -818,6 +910,10 @@ let all =
       doc = "PODEM, simulation-based and brute-force justification agree; \
              portfolio answers re-simulate";
       check = check_justify_podem };
+    { name = "justify-trial";
+      doc = "the event-driven justification trial agrees with the \
+             full-cone scan it replaced";
+      check = check_justify_trial };
     { name = "robust-timing";
       doc = "robust detection implies event-driven timing detection";
       check = check_robust_timing };

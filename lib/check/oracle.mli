@@ -33,6 +33,11 @@
       simulator, and the portfolio chain's answers must
       re-simulate too; this is the oracle that must catch the
       [Podem.set_injected_bug] implication mutation;
+    - [justify-trial] — the event-driven justification trial (an
+      ascending gate-index worklist) against the full-cone scan it
+      replaced, over random partial assignments: conflict verdict,
+      blamed net, evaluation count, per-net evaluation and conflict
+      charges, and the overlay values must all agree;
     - [robust-timing] — robust detection per {!Pdf_core.Fault_sim}
       implies physical detection by the event-driven
       {!Pdf_core.Timing.detects} ground truth with [extra = slack + 1];

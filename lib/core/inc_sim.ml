@@ -116,7 +116,7 @@ let propagate t =
       let changed = ref false in
       for k = 0 to 2 do
         let sk = t.s.(k) in
-        let v = Logic_sim.eval_gate_get g (fun net -> sk.(net)) in
+        let v = Logic_sim.eval_gate sk g in
         if not (Bit.equal v sk.(out)) then begin
           changed := true;
           sk.(out) <- v

@@ -54,9 +54,28 @@ type t = {
   mutable last_conflict_net : int;
   mutable last_conflict_level : int;
   mutable deepest_conflict_level : int;
+  (* Trial scratch, sized once per engine and reused by every search
+     (DESIGN.md §13.6).  [tval]/[tstamp] are the 3 x nets overlay: a
+     value is live while its stamp equals [trial_id].  [cone_mark]
+     stamps each gate of the current search's cone with [search_id];
+     [queued] stamps a gate with the [wave] (one per trial component)
+     that pushed it onto [heap], a min-heap of gate indices holding the
+     first [heap_len] slots.  [evals] counts the current trial's gate
+     evaluations. *)
+  tval : Bit.t array array;
+  tstamp : int array array;
+  mutable trial_id : int;
+  cone_mark : int array;
+  mutable search_id : int;
+  queued : int array;
+  mutable wave : int;
+  heap : int array;
+  mutable heap_len : int;
+  mutable evals : int;
 }
 
 let create ?attrib circuit =
+  let n = Circuit.num_nets circuit and ng = Circuit.num_gates circuit in
   {
     circuit;
     att = attrib;
@@ -68,6 +87,16 @@ let create ?attrib circuit =
     last_conflict_net = -1;
     last_conflict_level = -1;
     deepest_conflict_level = -1;
+    tval = Array.init 3 (fun _ -> Array.make n Bit.X);
+    tstamp = Array.init 3 (fun _ -> Array.make n 0);
+    trial_id = 0;
+    cone_mark = Array.make ng 0;
+    search_id = 0;
+    queued = Array.make ng 0;
+    wave = 0;
+    heap = Array.make ng 0;
+    heap_len = 0;
+    evals = 0;
   }
 
 let runs t = t.e_runs
@@ -124,9 +153,6 @@ type search = {
   a3 : Bit.t array;
   s : Bit.t array array; (* persistent simulation, 3 x nets *)
   inc : Inc_sim.t option; (* incremental maintainer of [s], cone-masked *)
-  tval : Bit.t array array; (* trial overlay *)
-  tstamp : int array array;
-  mutable trial_id : int;
   mutable unspecified : int;
   mutable resims : int; (* resimulation calls, for deferred attribution *)
 }
@@ -195,7 +221,7 @@ let resim st =
         let g = st.c.Circuit.gates.(gi) in
         let out = Circuit.net_of_gate st.c gi in
         for k = 0 to 2 do
-          st.s.(k).(out) <- eval_gate_get g (fun net -> st.s.(k).(net))
+          st.s.(k).(out) <- Pdf_sim.Logic_sim.eval_gate st.s.(k) g
         done)
       st.cone_gates
 
@@ -227,111 +253,183 @@ let satisfied_now st =
 
 exception Trial_conflict
 
+(* Overlay write: stamp [net]'s trial value in component [k]; a definite
+   value contradicting a requirement aborts the trial. *)
+let write engine st k net v =
+  engine.tval.(k).(net) <- v;
+  engine.tstamp.(k).(net) <- engine.trial_id;
+  if mismatch st.r.(k).(net) v then begin
+    note_conflict engine net;
+    raise Trial_conflict
+  end
+
+(* Charge one overlay evaluation of the gate driving [out]. *)
+let charge_eval engine out =
+  engine.evals <- engine.evals + 1;
+  match engine.att with
+  | Some a ->
+    a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1;
+    a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + 1
+  | None -> ()
+
+(* Evaluate gate [gi] in component [k] over the overlay; write its output
+   when it differs from the persistent value.  [true] when it wrote. *)
+let eval_in_overlay engine st k gi =
+  let out = Circuit.net_of_gate st.c gi in
+  charge_eval engine out;
+  let v =
+    Pdf_sim.Logic_sim.eval_gate_overlay st.c.Circuit.gates.(gi)
+      ~base:st.s.(k) ~over:engine.tval.(k) ~stamp:engine.tstamp.(k)
+      ~id:engine.trial_id
+  in
+  if Bit.equal v st.s.(k).(out) then false
+  else begin
+    write engine st k out v;
+    true
+  end
+
+(* The worklist: a binary min-heap of gate indices in [engine.heap]. *)
+let heap_push engine gi =
+  let h = engine.heap in
+  let i = ref engine.heap_len in
+  engine.heap_len <- !i + 1;
+  while !i > 0 && h.((!i - 1) / 2) > gi do
+    h.(!i) <- h.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.(!i) <- gi
+
+let heap_pop engine =
+  let h = engine.heap in
+  let top = h.(0) in
+  let n = engine.heap_len - 1 in
+  engine.heap_len <- n;
+  let last = h.(n) in
+  let i = ref 0 and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+      if h.(c) < last then begin
+        h.(!i) <- h.(c);
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  if n > 0 then h.(!i) <- last;
+  top
+
+(* Queue every cone gate reading [net], once per wave. *)
+let push_fanouts engine st net =
+  let fo = st.c.Circuit.fanouts.(net) in
+  for i = 0 to Array.length fo - 1 do
+    let gi, _pin = fo.(i) in
+    if
+      engine.cone_mark.(gi) = engine.search_id
+      && engine.queued.(gi) <> engine.wave
+    then begin
+      engine.queued.(gi) <- engine.wave;
+      heap_push engine gi
+    end
+  done
+
+(* Propagate component [k] of a trial rooted at [pi]: pop gates in
+   ascending index order — a topological order, so every fanin has
+   settled when its reader pops — and push the fanouts of each net the
+   overlay changes.  This evaluates exactly the cone gates with a
+   stamped fanin, in the order a scan over the ascending cone would. *)
+let propagate engine st k pi =
+  if engine.tstamp.(k).(pi) = engine.trial_id then begin
+    engine.wave <- engine.wave + 1;
+    engine.heap_len <- 0;
+    push_fanouts engine st pi;
+    while engine.heap_len > 0 do
+      let gi = heap_pop engine in
+      if eval_in_overlay engine st k gi then
+        push_fanouts engine st (Circuit.net_of_gate st.c gi)
+    done
+  end
+
 (* Trial-assign pattern bit [j] of PI [pi] to [b] and propagate through the
    cone using an overlay (values stamped with the trial id); any definite
    value contradicting a requirement aborts with a conflict.  The
-   persistent state is untouched. *)
-let trial engine st pi j b =
+   persistent state is untouched.  Event-driven: the cost is the gates
+   the trial actually evaluates, not the cone size (DESIGN.md §13.6).
+   [scan] is the propagation schedule — {!propagate}, or the full-cone
+   reference scan the [justify-trial] oracle compares it against. *)
+let trial_with scan engine st pi j b =
   Metrics.incr m_trials;
   engine.e_trials <- engine.e_trials + 1;
-  let att = engine.att in
-  (match att with
+  (match engine.att with
   | Some a ->
     a.Attrib.trials.(pi) <- a.Attrib.trials.(pi) + 1;
     a.Attrib.t_trials <- a.Attrib.t_trials + 1
   | None -> ());
-  st.trial_id <- st.trial_id + 1;
-  let id = st.trial_id in
-  let evals = ref 0 in
-  let read k net =
-    if st.tstamp.(k).(net) = id then st.tval.(k).(net) else st.s.(k).(net)
-  in
-  let write k net v =
-    st.tval.(k).(net) <- v;
-    st.tstamp.(k).(net) <- id;
-    if mismatch st.r.(k).(net) v then begin
-      note_conflict engine net;
-      raise Trial_conflict
-    end
-  in
+  engine.trial_id <- engine.trial_id + 1;
+  engine.evals <- 0;
   let kj = comp_of_pattern j in
   let conflicted =
     try
       let newv = Bit.of_bool b in
-      if not (Bit.equal st.s.(kj).(pi) newv) then write kj pi newv;
+      if not (Bit.equal st.s.(kj).(pi) newv) then write engine st kj pi newv;
       let b1 = if j = 1 then newv else st.a1.(pi) in
       let b3 = if j = 3 then newv else st.a3.(pi) in
       let mid = Two_pattern.middle_of_pair b1 b3 in
-      if not (Bit.equal st.s.(1).(pi) mid) then write 1 pi mid;
-      let propagate k =
-        Array.iter
-          (fun gi ->
-            let g = st.c.Circuit.gates.(gi) in
-            let touched =
-              Array.exists
-                (fun fanin -> st.tstamp.(k).(fanin) = id)
-                g.Circuit.fanins
-            in
-            if touched then begin
-              let out = Circuit.net_of_gate st.c gi in
-              incr evals;
-              (match att with
-              | Some a ->
-                a.Attrib.trial_evals.(out) <- a.Attrib.trial_evals.(out) + 1;
-                a.Attrib.t_trial_evals <- a.Attrib.t_trial_evals + 1
-              | None -> ());
-              let v = eval_gate_get g (read k) in
-              if not (Bit.equal v st.s.(k).(out)) then write k out v
-            end)
-          st.cone_gates
-      in
-      propagate kj;
-      propagate 1;
+      if not (Bit.equal st.s.(1).(pi) mid) then write engine st 1 pi mid;
+      scan engine st kj pi;
+      scan engine st 1 pi;
       false
     with Trial_conflict -> true
   in
-  if !evals > 0 then Metrics.add m_trial_evals !evals;
+  if engine.evals > 0 then Metrics.add m_trial_evals engine.evals;
   conflicted
 
-let assign engine st pi j b =
+let trial engine st pi j b = trial_with propagate engine st pi j b
+
+(* Specify bit [j] of [pi] and bring the persistent state up to date. *)
+let set_bit st pi j b =
   (match j with
   | 1 -> st.a1.(pi) <- Bit.of_bool b
   | 3 -> st.a3.(pi) <- Bit.of_bool b
   | _ -> invalid_arg "pattern");
   st.unspecified <- st.unspecified - 1;
-  resim st;
+  resim st
+
+let assign engine st pi j b =
+  set_bit st pi j b;
   match conflict_net st with
   | Some net ->
     note_conflict engine net;
     raise No_test
   | None -> ()
 
-(* One pass over all unspecified cone bits, excluding values whose trial
-   conflicts; repeated until no new value is assigned. *)
+(* Try both values of bit [j] of [pi] when it is unspecified, excluding
+   a value whose trial conflicts; [true] when a value was assigned. *)
+let necessary_bit engine st pi j =
+  let current = if j = 1 then st.a1.(pi) else st.a3.(pi) in
+  if not (Bit.equal current Bit.X) then false
+  else begin
+    let c0 = trial engine st pi j false in
+    let c1 = trial engine st pi j true in
+    if c0 && c1 then raise No_test;
+    (* the value whose trial did not conflict: 1 when 0 conflicted *)
+    if c0 || c1 then assign engine st pi j c0;
+    c0 || c1
+  end
+
+(* One pass over all unspecified cone bits, repeated until no new value
+   is assigned. *)
 let necessary_values engine st =
   let continue = ref true in
   while !continue do
     continue := false;
-    Array.iter
-      (fun pi ->
-        List.iter
-          (fun j ->
-            let current = if j = 1 then st.a1.(pi) else st.a3.(pi) in
-            if Bit.equal current Bit.X then begin
-              let c0 = trial engine st pi j false in
-              let c1 = trial engine st pi j true in
-              if c0 && c1 then raise No_test
-              else if c0 then begin
-                assign engine st pi j true;
-                continue := true
-              end
-              else if c1 then begin
-                assign engine st pi j false;
-                continue := true
-              end
-            end)
-          [ 1; 3 ])
-      st.cone_pis
+    for i = 0 to Array.length st.cone_pis - 1 do
+      let pi = st.cone_pis.(i) in
+      if necessary_bit engine st pi 1 then continue := true;
+      if necessary_bit engine st pi 3 then continue := true
+    done
   done
 
 (* Decision step: prefer making a half-specified input stable (the paper's
@@ -413,6 +511,8 @@ let make_search engine rng merged =
       r.(2).(net) <- comp_bit req.Req.r3)
     merged;
   let cone_gates, cone_pis = compute_cone c req_nets in
+  engine.search_id <- engine.search_id + 1;
+  Array.iter (fun gi -> engine.cone_mark.(gi) <- engine.search_id) cone_gates;
   let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
   let inc =
     if Wsim.incsim_enabled () then begin
@@ -434,9 +534,6 @@ let make_search engine rng merged =
     a3 = Array.make c.Circuit.num_pis Bit.X;
     s;
     inc;
-    tval = Array.init 3 (fun _ -> Array.make n Bit.X);
-    tstamp = Array.init 3 (fun _ -> Array.make n 0);
-    trial_id = 0;
     unspecified = 2 * Array.length cone_pis;
     resims = 0;
   }
@@ -651,6 +748,58 @@ let run engine ~rng ~reqs =
     record_search st;
     if result = None then Metrics.incr m_conflicts;
     result
+
+module Internal = struct
+  type nonrec search = search
+
+  let prepare engine ~reqs =
+    match merge_reqs reqs with
+    | None | Some [] -> None
+    | Some merged ->
+      let st = make_search engine (Rng.create 0) merged in
+      resim st;
+      Some st
+
+  let cone_pis st = st.cone_pis
+
+  let assign = set_bit
+
+  let trial st pi j b = trial st.eng st pi j b
+
+  (* The schedule the worklist replaced: scan the whole ascending cone
+     and evaluate every gate with a fanin stamped by this trial, through
+     the closure-based evaluator. *)
+  let reference_scan engine st k _pi =
+    let id = engine.trial_id in
+    let tv = engine.tval.(k) and ts = engine.tstamp.(k) and sv = st.s.(k) in
+    let read net = if ts.(net) = id then tv.(net) else sv.(net) in
+    Array.iter
+      (fun gi ->
+        let g = st.c.Circuit.gates.(gi) in
+        if Array.exists (fun fanin -> ts.(fanin) = id) g.Circuit.fanins
+        then begin
+          let out = Circuit.net_of_gate st.c gi in
+          charge_eval engine out;
+          let v = eval_gate_get g read in
+          if not (Bit.equal v sv.(out)) then write engine st k out v
+        end)
+      st.cone_gates
+
+  let reference_trial st pi j b = trial_with reference_scan st.eng st pi j b
+
+  let trial_evals st = st.eng.evals
+
+  let overlay st =
+    let e = st.eng in
+    let acc = ref [] in
+    for k = 2 downto 0 do
+      for net = Circuit.num_nets st.c - 1 downto 0 do
+        if e.tstamp.(k).(net) = e.trial_id then
+          acc := (k, net, e.tval.(k).(net)) :: !acc
+      done
+    done;
+    !acc
+end
 
 (* ------------------------------------------------------------------ *)
 (* Backend selection and the dispatching engine                        *)

@@ -117,6 +117,47 @@ val run_complete :
     10000 backtracks.  Unsearched inputs (outside the requirement cone)
     are filled with zeros. *)
 
+(** {2 Internals for differential testing}
+
+    Exposed for the [justify-trial] oracle of [Pdf_check.Oracle], not
+    for production use: a search state, a way to build partial
+    assignments on it, the production trial, and the full-cone scan
+    schedule the event-driven trial replaced (DESIGN.md §13.6), kept
+    here as the reference it is checked against. *)
+module Internal : sig
+  type search
+
+  val prepare : t -> reqs:(int * Pdf_values.Req.t) list -> search option
+  (** A search over the merged requirements with every cone input bit
+      unspecified and the persistent state simulated; [None] for a
+      directly conflicting or empty requirement set.  A search uses its
+      engine's trial scratch: keep one live search per engine. *)
+
+  val cone_pis : search -> int array
+
+  val assign : search -> int -> int -> bool -> unit
+  (** [assign st pi j b] sets pattern bit [j] (1 or 3) of cone input
+      [pi] to [b] and resimulates, without a conflict check. *)
+
+  val trial : search -> int -> int -> bool -> bool
+  (** The production trial of bit [j] of [pi] at [b]: [true] on a
+      requirement conflict.  Charges the engine's counters, forensics
+      and attribution sheet like a trial inside {!run}. *)
+
+  val reference_trial : search -> int -> int -> bool -> bool
+  (** The same trial propagated by scanning the whole requirement cone
+      in ascending gate order, once per changed component, evaluating
+      every gate with a fanin the trial changed. *)
+
+  val trial_evals : search -> int
+  (** Gate evaluations of the most recent trial. *)
+
+  val overlay : search -> (int * int * Pdf_values.Bit.t) list
+  (** [(component, net, value)] for every net the most recent trial
+      wrote (components 0, 1, 2 = first, intermediate, second pattern),
+      ascending by component then net. *)
+end
+
 (** {2 Backend selection}
 
     The generation loop justifies through a dispatching {!Engine.t}

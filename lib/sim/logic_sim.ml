@@ -29,8 +29,49 @@ let eval_gate_get (g : Circuit.gate) get =
     | Gate.Not | Gate.Buff -> ());
     if Gate.inverting g.kind then Bit.not_ !acc else !acc
 
+(* [eval_gate_get] specialised to a stamped overlay, without a closure:
+   fanin [net] reads [over.(net)] when [stamp.(net) = id], else
+   [base.(net)].  Same formulas, same fold order. *)
+let[@inline] overlay_get base over stamp id net =
+  if stamp.(net) = id then over.(net) else base.(net)
+
+let eval_gate_overlay (g : Circuit.gate) ~base ~over ~stamp ~id =
+  let fanins = g.fanins in
+  let acc = ref (overlay_get base over stamp id fanins.(0)) in
+  (match g.kind with
+  | Gate.And | Gate.Nand ->
+    for i = 1 to Array.length fanins - 1 do
+      acc := Bit.and_ !acc (overlay_get base over stamp id fanins.(i))
+    done
+  | Gate.Or | Gate.Nor ->
+    for i = 1 to Array.length fanins - 1 do
+      acc := Bit.or_ !acc (overlay_get base over stamp id fanins.(i))
+    done
+  | Gate.Xor | Gate.Xnor ->
+    for i = 1 to Array.length fanins - 1 do
+      acc := Bit.xor !acc (overlay_get base over stamp id fanins.(i))
+    done
+  | Gate.Not | Gate.Buff -> ());
+  if Gate.inverting g.kind then Bit.not_ !acc else !acc
+
 let eval_gate (values : Bit.t array) (g : Circuit.gate) =
-  eval_gate_get g (fun net -> values.(net))
+  let fanins = g.fanins in
+  let acc = ref values.(fanins.(0)) in
+  (match g.kind with
+  | Gate.And | Gate.Nand ->
+    for i = 1 to Array.length fanins - 1 do
+      acc := Bit.and_ !acc values.(fanins.(i))
+    done
+  | Gate.Or | Gate.Nor ->
+    for i = 1 to Array.length fanins - 1 do
+      acc := Bit.or_ !acc values.(fanins.(i))
+    done
+  | Gate.Xor | Gate.Xnor ->
+    for i = 1 to Array.length fanins - 1 do
+      acc := Bit.xor !acc values.(fanins.(i))
+    done
+  | Gate.Not | Gate.Buff -> ());
+  if Gate.inverting g.kind then Bit.not_ !acc else !acc
 
 let simulate (c : Circuit.t) pis =
   if Array.length pis <> c.num_pis then

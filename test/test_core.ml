@@ -1005,6 +1005,73 @@ let test_portfolio_chain_identity () =
        (13, "1cf5cf65f4faf17fc7cbfa8b2cd54c50"));
     ]
 
+(* One simulation-justified enrichment of b09 at the CLI defaults
+   ([pdfatpg enrich b09 --justify sim], which [pdfatpg trace b09] also
+   runs), through the same session layer as the CLI: the ledger bytes,
+   the justify work counters it moved, and the minor words allocated
+   inside the [justify] spans. *)
+let b09_sim_enrich =
+  lazy
+    (let module Session = Pdf_serve.Session in
+     let module Metrics = Pdf_obs.Metrics in
+     let module Span = Pdf_obs.Span in
+     let counters =
+       [ "justify.runs"; "justify.trials"; "justify.trial_evals";
+         "justify.conflict_hits" ]
+     in
+     let read () =
+       List.map (fun n -> Metrics.value (Metrics.counter n)) counters
+     in
+     let before = read () in
+     let agg = Span.agg () in
+     let prev = Span.sink () in
+     Span.set_sink (Span.agg_sink agg);
+     let l = Ledger.create () in
+     (match
+        Fun.protect
+          ~finally:(fun () -> Span.set_sink prev)
+          (fun () ->
+            Session.enrich ~ledger:l (Session.create ()) ~circuit:"b09"
+              ~params:{ Session.default_params with justify = Justify.Sim }
+              ~coverage:false)
+      with
+     | Ok _ -> ()
+     | Error e -> Alcotest.fail (Session.error_message e));
+     let moved =
+       List.combine counters (List.map2 (fun a b -> b - a) before (read ()))
+     in
+     let justify_words =
+       List.fold_left
+         (fun acc (r : Span.agg_row) ->
+           if r.Span.row_name = "justify" then acc +. (r.Span.alloc_mw *. 1e6)
+           else acc)
+         0. (Span.agg_rows agg)
+     in
+     (Digest.to_hex (Digest.string (Ledger.to_jsonl l)), moved, justify_words))
+
+let test_b09_sim_ledger_pinned () =
+  (* Pinned before the trial loop became event-driven: the new schedule
+     evaluates the same gates in the same order, so every byte of the
+     ledger (conflict forensics and per-fault effort included) stays. *)
+  let digest, _, _ = Lazy.force b09_sim_enrich in
+  check Alcotest.string "enrich b09 --justify sim ledger MD5"
+    "93c64eaa5d436e12d92a417afe1b7c65" digest
+
+let test_b09_sim_trial_work () =
+  let _, moved, words = Lazy.force b09_sim_enrich in
+  List.iter
+    (fun (name, expected) ->
+      check Alcotest.int name expected (List.assoc name moved))
+    [ ("justify.runs", 417); ("justify.trials", 357092);
+      ("justify.trial_evals", 1969013); ("justify.conflict_hits", 9960) ];
+  (* A trial allocates nothing: what the justify spans allocate per
+     trial is the per-search and per-assignment bookkeeping amortised
+     over the trials (the full-cone scan allocated ~2.3k words each). *)
+  let per_trial = words /. float_of_int (List.assoc "justify.trials" moved) in
+  if per_trial > 16. then
+    Alcotest.failf "justify allocates %.1f minor words per trial (> 16)"
+      per_trial
+
 let test_portfolio_charges_only_winner () =
   (* PODEM heads the chain and satisfies every s27 fault, so the
      simulation members never run: the engine's trials are exactly
@@ -1373,6 +1440,10 @@ let () =
             test_portfolio_ledger_jobs_invariant;
           Alcotest.test_case "portfolio chain matches race" `Quick
             test_portfolio_chain_identity;
+          Alcotest.test_case "b09 sim ledger pinned" `Quick
+            test_b09_sim_ledger_pinned;
+          Alcotest.test_case "b09 sim trial work and allocation" `Quick
+            test_b09_sim_trial_work;
           Alcotest.test_case "portfolio charges only the winner" `Quick
             test_portfolio_charges_only_winner;
           Alcotest.test_case "records name the winner" `Quick
