@@ -646,6 +646,141 @@ let check_justify_trial { circuit = c; seed } =
   end
 
 (* ------------------------------------------------------------------ *)
+(* implication: the event-driven engine vs the reference sweep          *)
+(* ------------------------------------------------------------------ *)
+
+let implication_sets = 40
+
+(* A random requirement set: the values a random test pair simulates to
+   on a few nets, each component kept with probability 2/3 (satisfiable,
+   so mostly consistent), optionally followed by a few uniformly random
+   pins, which usually make it conflict. *)
+let random_reqs rng c =
+  let nets = Circuit.num_nets c in
+  let pin_of bit =
+    match Bit.to_bool bit with
+    | Some b when Rng.int rng 3 > 0 -> Req.Must b
+    | Some _ | None -> Req.Any
+  in
+  let values =
+    Test_pair.simulate c
+      (Test_pair.create
+         (random_pattern rng c.Circuit.num_pis)
+         (random_pattern rng c.Circuit.num_pis))
+  in
+  let from_test =
+    List.init (1 + Rng.int rng 6) (fun _ ->
+        let net = Rng.int rng nets in
+        let (v : Triple.t) = values.(net) in
+        ( net,
+          { Req.r1 = pin_of v.Triple.v1; r2 = pin_of v.Triple.v2;
+            r3 = pin_of v.Triple.v3 } ))
+  in
+  let random_pin () =
+    let comp () = if Rng.bool rng then Req.Must (Rng.bool rng) else Req.Any in
+    let r1 = comp () in
+    let r2 = comp () in
+    let r3 = comp () in
+    (Rng.int rng nets, { Req.r1; r2; r3 })
+  in
+  from_test @ List.init (Rng.int rng 4) (fun _ -> random_pin ())
+
+(* [l] shuffled, then cut into [k] consecutive, possibly empty, chunks. *)
+let shuffled_chunks rng k l =
+  let a = Array.of_list l in
+  let n = Array.length a in
+  for i = n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  let cuts =
+    List.sort Int.compare (List.init (k - 1) (fun _ -> Rng.int rng (n + 1)))
+  in
+  let rec go from = function
+    | [] -> [ Array.sub a from (n - from) ]
+    | cut :: rest -> Array.sub a from (cut - from) :: go cut rest
+  in
+  List.map Array.to_list (go 0 cuts)
+
+let all_x values =
+  Array.for_all
+    (fun (v : Triple.t) ->
+      Bit.equal v.Triple.v1 Bit.X && Bit.equal v.Triple.v2 Bit.X
+      && Bit.equal v.Triple.v3 Bit.X)
+    values
+
+let first_diff a b =
+  let d = ref (-1) in
+  Array.iteri
+    (fun i x -> if !d < 0 && not (Triple.equal x b.(i)) then d := i)
+    a;
+  !d
+
+(* Per random requirement set: the persistent event-driven state, reset
+   and fed the whole set in one [add], must reach the reference sweep's
+   verdict and, when consistent, its value on every net and layer; a
+   second state fed a shuffle of the set in k random chunks must reach
+   the same verdict and values; [reset] must leave every line X. *)
+let check_implication { circuit = c; seed } =
+  let module I = Pdf_sim.Implication in
+  let rng = Rng.create seed in
+  let whole = I.create c and chunked = I.create c in
+  let violation = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> violation := Some m) fmt in
+  let show reqs =
+    String.concat " "
+      (List.map
+         (fun (net, r) ->
+           Printf.sprintf "%s=%s" (Circuit.net_name c net) (Req.to_string r))
+         reqs)
+  in
+  let round = ref 0 in
+  while !violation = None && !round < implication_sets do
+    incr round;
+    let reqs = random_reqs rng c in
+    let what = Printf.sprintf "{%s} on %s" (show reqs) c.Circuit.name in
+    I.reset whole;
+    I.reset chunked;
+    if not (all_x (I.snapshot whole) && all_x (I.snapshot chunked)) then
+      fail "reset left a definite value before %s" what
+    else begin
+      let k = 1 + Rng.int rng 4 in
+      let parts = shuffled_chunks rng k reqs in
+      let chunked_ok =
+        List.for_all (fun part -> Result.is_ok (I.add chunked part)) parts
+      in
+      match (Implication_sweep.infer c reqs, I.add whole reqs) with
+      | I.Consistent expected, Ok () ->
+        let got = I.snapshot whole in
+        let d = first_diff expected got in
+        if d >= 0 then
+          fail "%s: net %s implied %s by the sweep, %s by the worklist" what
+            (Circuit.net_name c d)
+            (Triple.to_string expected.(d))
+            (Triple.to_string got.(d))
+        else if not chunked_ok then
+          fail "%s: consistent in one add, conflict in %d chunks" what k
+        else
+          let d = first_diff got (I.snapshot chunked) in
+          if d >= 0 then
+            fail "%s: net %s differs between one add and %d chunks" what
+              (Circuit.net_name c d) k
+      | I.Conflict _, Error _ ->
+        if chunked_ok then
+          fail "%s: conflict in one add, consistent in %d chunks" what k
+      | I.Consistent _, Error { I.net; component } ->
+        fail "%s: worklist conflict on %s (component %d), sweep consistent"
+          what (Circuit.net_name c net) component
+      | I.Conflict { net; component }, Ok () ->
+        fail "%s: sweep conflict on %s (component %d), worklist consistent"
+          what (Circuit.net_name c net) component
+    end
+  done;
+  match !violation with Some m -> Fail m | None -> Pass
+
+(* ------------------------------------------------------------------ *)
 (* robust-timing: robust detection implies physical detection           *)
 (* ------------------------------------------------------------------ *)
 
@@ -914,6 +1049,10 @@ let all =
       doc = "the event-driven justification trial agrees with the \
              full-cone scan it replaced";
       check = check_justify_trial };
+    { name = "implication";
+      doc = "the event-driven implication engine agrees with the fixpoint \
+             sweep it replaced";
+      check = check_implication };
     { name = "robust-timing";
       doc = "robust detection implies event-driven timing detection";
       check = check_robust_timing };

@@ -38,6 +38,11 @@
       replaced, over random partial assignments: conflict verdict,
       blamed net, evaluation count, per-net evaluation and conflict
       charges, and the overlay values must all agree;
+    - [implication] — the event-driven {!Pdf_sim.Implication} state
+      against the fixpoint sweep {!Implication_sweep} it replaced, over
+      random requirement sets: equal verdicts, equal values on every net
+      and layer when consistent, the same verdict and values when the set
+      is added as k shuffled chunks, and all-X after [reset];
     - [robust-timing] — robust detection per {!Pdf_core.Fault_sim}
       implies physical detection by the event-driven
       {!Pdf_core.Timing.detects} ground truth with [extra = slack + 1];

@@ -11,6 +11,7 @@ module Span = Pdf_obs.Span
 module Log = Pdf_obs.Log
 module Ledger = Pdf_obs.Ledger
 module Attrib = Pdf_obs.Attrib
+module Implication = Pdf_sim.Implication
 
 let m_delta_evals = Metrics.counter "atpg.delta_evals"
 
@@ -124,33 +125,33 @@ type test_state = {
   mutable test : Test_pair.t;
   mutable values : Pdf_values.Triple.t array;
   acc : (int, Req.t) Hashtbl.t;
-  mutable implied : Pdf_values.Triple.t array;
-      (** line values implied by [acc]; candidates contradicting them are
-          provably un-addable and are rejected without a search *)
   mutable det_masks : int array;
       (** packed detection state of the current test against every target
           (one word per 63 faults), refreshed whenever [values] changes;
           [[||]] when the packed engine is disabled *)
 }
 
-let recompute_implied c acc =
-  let reqs = Hashtbl.fold (fun net req l -> (net, req) :: l) acc [] in
-  match Pdf_sim.Implication.infer c reqs with
-  | Pdf_sim.Implication.Consistent values -> values
-  | Pdf_sim.Implication.Conflict _ ->
-    (* [acc] is always witnessed satisfiable by the current test. *)
+(* Extend the values implied by the accumulated requirements with the
+   updates just committed to them. *)
+let imply imp updates =
+  match Implication.add imp updates with
+  | Ok () -> ()
+  | Error _ ->
+    (* The accumulated requirements are always witnessed satisfiable by
+       the current test. *)
     assert false
 
 (* A candidate's conditions contradict the values implied by the
    accumulated requirements: adding it can never succeed. *)
-let contradicts_implied implied reqs =
+let contradicts_implied imp reqs =
+  let admits component net want =
+    Req.compatible_bit (Implication.value imp ~component net) want
+  in
   List.exists
     (fun (net, (req : Req.t)) ->
-      let (v : Pdf_values.Triple.t) = implied.(net) in
       not
-        (Req.compatible_bit v.Pdf_values.Triple.v1 req.Req.r1
-        && Req.compatible_bit v.Pdf_values.Triple.v2 req.Req.r2
-        && Req.compatible_bit v.Pdf_values.Triple.v3 req.Req.r3))
+        (admits 1 net req.Req.r1 && admits 2 net req.Req.r2
+        && admits 3 net req.Req.r3))
     reqs
 
 let generate ?ledger ?attrib ?justify c config ~faults ~primaries
@@ -337,11 +338,13 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   and g_prog_detected =
     Metrics.gauge ("atpg." ^ ord_name ^ ".progress_detected")
   in
+  (* Values implied by the current test's accumulated requirements:
+     reset at each new test, then extended by every committed fold. *)
+  let imp = Implication.create c in
   (* Try to add candidate [i] to the current test's fault set: free if the
      test already detects it, otherwise re-justify the enlarged
-     requirement union.  Returns true when accepted. *)
-  (* Attempt to add candidate [i] to the current test's fault set; on
-     acceptance, return the requirement values newly pinned ([Delta]). *)
+     requirement union.  On acceptance, return the requirement values
+     newly pinned ([Delta]). *)
   let try_candidate st i =
     Metrics.incr m_cand;
     match delta st.acc faults.(i).Fault_sim.reqs with
@@ -352,14 +355,14 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
     | Some (updates, _) ->
       if detects st i then begin
         commit st.acc updates;
-        st.implied <- recompute_implied c st.acc;
+        imply imp updates;
         Metrics.incr m_free;
         Metrics.incr m_folded;
         incr folded_this_test;
         note_folded i "free";
         Some updates
       end
-      else if contradicts_implied st.implied faults.(i).Fault_sim.reqs then begin
+      else if contradicts_implied imp faults.(i).Fault_sim.reqs then begin
         Metrics.incr m_rej_implied;
         reject_reason.(i) <- `Implied;
         None
@@ -374,7 +377,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
           st.values <- simulate_test test;
           refresh_masks st;
           commit st.acc updates;
-          st.implied <- recompute_implied c st.acc;
+          imply imp updates;
           Metrics.incr m_folded;
           incr folded_this_test;
           note_folded i "justified";
@@ -490,16 +493,18 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
             test;
             values = simulate_test test;
             acc = Hashtbl.create 64;
-            implied = [||];
             det_masks = [||];
           }
         in
         refresh_masks st;
-        commit st.acc
-          (match delta st.acc faults.(p0).Fault_sim.reqs with
+        let updates =
+          match delta st.acc faults.(p0).Fault_sim.reqs with
           | Some (updates, _) -> updates
-          | None -> assert false);
-        st.implied <- recompute_implied c st.acc;
+          | None -> assert false
+        in
+        commit st.acc updates;
+        Implication.reset imp;
+        imply imp updates;
         folded_this_test := 0;
         let id = !next_test_id in
         incr next_test_id;

@@ -106,11 +106,15 @@ let describe_undetectable r =
   Printf.bprintf b "fault: %s\n" (str "fault" r);
   (match Ledger.get_string r "class" with
   | Some "implication_conflict" ->
-    Printf.bprintf b
-      "  undetectable: implication conflict on net %s (pattern component \
-       %d)\n"
-      (str "net" r)
-      (Option.value ~default:(-1) (Ledger.get_int r "component"))
+    let component =
+      match Ledger.get_int r "component" with
+      | Some 1 -> "first pattern"
+      | Some 2 -> "intermediate value"
+      | Some 3 -> "second pattern"
+      | Some _ | None -> "unknown component"
+    in
+    Printf.bprintf b "  undetectable: implication conflict on net %s (%s)\n"
+      (str "net" r) component
   | Some cls -> Printf.bprintf b "  undetectable: %s\n" cls
   | None -> ());
   Buffer.contents b

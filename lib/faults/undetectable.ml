@@ -5,14 +5,19 @@ type verdict =
   | Direct_conflict
   | Implication_conflict of { net : int; component : int }
 
-let classify ?(criterion = Robust.Robust) c fault =
+(* [imp] is reset before use; one state serves a whole filter call. *)
+let classify_with imp ~criterion c fault =
   match Robust.conditions ~criterion c fault with
   | None -> Direct_conflict
   | Some reqs -> (
-    match Implication.infer c reqs with
-    | Implication.Consistent _ -> Maybe_detectable
-    | Implication.Conflict { net; component } ->
+    Implication.reset imp;
+    match Implication.add imp reqs with
+    | Ok () -> Maybe_detectable
+    | Error { Implication.net; component } ->
       Implication_conflict { net; component })
+
+let classify ?(criterion = Robust.Robust) c fault =
+  classify_with (Implication.create c) ~criterion c fault
 
 type stats = {
   kept : int;
@@ -21,7 +26,7 @@ type stats = {
 }
 
 (* One provenance record per eliminated fault; "component" is the
-   pattern component (0 = first pattern, 1 = intermediate, 2 = second)
+   pattern component (1 = first pattern, 2 = intermediate, 3 = second)
    whose implied value conflicted. *)
 let record_eliminated ledger c f = function
   | Maybe_detectable -> ()
@@ -42,10 +47,12 @@ let record_eliminated ledger c f = function
 
 let filter ?(criterion = Robust.Robust) ?ledger c faults =
   let direct = ref 0 and implied = ref 0 in
+  (* One state per call, never shared: filters run on several domains. *)
+  let imp = Implication.create c in
   let kept =
     List.filter
       (fun f ->
-        let verdict = classify ~criterion c f in
+        let verdict = classify_with imp ~criterion c f in
         Option.iter (fun l -> record_eliminated l c f verdict) ledger;
         match verdict with
         | Maybe_detectable -> true

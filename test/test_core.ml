@@ -1007,9 +1007,9 @@ let test_portfolio_chain_identity () =
 
 (* One simulation-justified enrichment of b09 at the CLI defaults
    ([pdfatpg enrich b09 --justify sim], which [pdfatpg trace b09] also
-   runs), through the same session layer as the CLI: the ledger bytes,
-   the justify work counters it moved, and the minor words allocated
-   inside the [justify] spans. *)
+   runs), through the same session layer as the CLI: the ledger, the
+   justify and implication work counters it moved, and the minor words
+   allocated inside the [justify] spans. *)
 let b09_sim_enrich =
   lazy
     (let module Session = Pdf_serve.Session in
@@ -1017,7 +1017,7 @@ let b09_sim_enrich =
      let module Span = Pdf_obs.Span in
      let counters =
        [ "justify.runs"; "justify.trials"; "justify.trial_evals";
-         "justify.conflict_hits" ]
+         "justify.conflict_hits"; "implication.gate_visits" ]
      in
      let read () =
        List.map (fun n -> Metrics.value (Metrics.counter n)) counters
@@ -1047,15 +1047,48 @@ let b09_sim_enrich =
            else acc)
          0. (Span.agg_rows agg)
      in
-     (Digest.to_hex (Digest.string (Ledger.to_jsonl l)), moved, justify_words))
+     (l, moved, justify_words))
+
+let ledger_md5 l = Digest.to_hex (Digest.string (Ledger.to_jsonl l))
+
+(* The ledger without the conflict site ([net], [component]) of
+   implication-conflict [undetectable] records: the only fields the
+   event-driven implication engine moved. *)
+let without_conflict_sites l =
+  let out = Ledger.create () in
+  List.iter
+    (fun (r : Ledger.record) ->
+      let fields =
+        if r.Ledger.kind = "undetectable" then
+          List.filter
+            (fun (k, _) -> k <> "net" && k <> "component")
+            r.Ledger.fields
+        else r.Ledger.fields
+      in
+      Ledger.record out ~kind:r.Ledger.kind fields)
+    (Ledger.records l);
+  out
 
 let test_b09_sim_ledger_pinned () =
-  (* Pinned before the trial loop became event-driven: the new schedule
-     evaluates the same gates in the same order, so every byte of the
-     ledger (conflict forensics and per-fault effort included) stays. *)
-  let digest, _, _ = Lazy.force b09_sim_enrich in
+  (* Re-pinned on purpose when implication became event-driven (DESIGN.md
+     §13.7).  Only the [net] and [component] fields of implication-conflict
+     [undetectable] records moved: the worklist meets a conflict in a
+     different order than the sweep, and so often on a different line.
+     Every other byte is the earlier pin (93c64eaa5d436e12d92a417afe1b7c65),
+     which the next test checks. *)
+  let l, _, _ = Lazy.force b09_sim_enrich in
   check Alcotest.string "enrich b09 --justify sim ledger MD5"
-    "93c64eaa5d436e12d92a417afe1b7c65" digest
+    "7403cbc652282ed24062770e54bb6479" (ledger_md5 l)
+
+let test_b09_sim_ledger_sites_only () =
+  (* The earlier pinned ledger (MD5 93c64eaa5d436e12d92a417afe1b7c65),
+     with the conflict sites of its [undetectable] records dropped,
+     hashes to this digest; so does today's.  The eliminated faults,
+     their classes and every other record are unchanged. *)
+  let l, _, _ = Lazy.force b09_sim_enrich in
+  check Alcotest.string "ledger MD5 without undetectable conflict sites"
+    "9620eda8be05f038c4fbbc32ce043581"
+    (ledger_md5 (without_conflict_sites l))
 
 let test_b09_sim_trial_work () =
   let _, moved, words = Lazy.force b09_sim_enrich in
@@ -1063,7 +1096,8 @@ let test_b09_sim_trial_work () =
     (fun (name, expected) ->
       check Alcotest.int name expected (List.assoc name moved))
     [ ("justify.runs", 417); ("justify.trials", 357092);
-      ("justify.trial_evals", 1969013); ("justify.conflict_hits", 9960) ];
+      ("justify.trial_evals", 1969013); ("justify.conflict_hits", 9960);
+      ("implication.gate_visits", 371292) ];
   (* A trial allocates nothing: what the justify spans allocate per
      trial is the per-search and per-assignment bookkeeping amortised
      over the trials (the full-cone scan allocated ~2.3k words each). *)
@@ -1442,6 +1476,8 @@ let () =
             test_portfolio_chain_identity;
           Alcotest.test_case "b09 sim ledger pinned" `Quick
             test_b09_sim_ledger_pinned;
+          Alcotest.test_case "b09 sim ledger equal but for conflict sites"
+            `Quick test_b09_sim_ledger_sites_only;
           Alcotest.test_case "b09 sim trial work and allocation" `Quick
             test_b09_sim_trial_work;
           Alcotest.test_case "portfolio charges only the winner" `Quick

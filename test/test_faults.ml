@@ -343,6 +343,51 @@ let test_filter_counts () =
         (Undetectable.classify s27 f = Undetectable.Maybe_detectable))
     kept
 
+(* The event-driven filter against the fixpoint sweep it replaced, on the
+   CLI's default fault sets (N_P = 2000): the same faults are kept, in
+   the same order, and the same faults fall to each class.  Only the
+   conflict site of an implication conflict may differ (DESIGN.md
+   §13.7), so it is not compared. *)
+let test_filter_matches_sweep () =
+  List.iter
+    (fun (name, direct, implication) ->
+      let c =
+        Pdf_synth.Profiles.circuit (Option.get (Pdf_synth.Profiles.find name))
+      in
+      let r =
+        Pdf_paths.Enumerate.enumerate c (Delay_model.lines c) ~max_paths:1000
+      in
+      let faults =
+        List.concat_map (fun (p, _) -> Fault.both p) r.Pdf_paths.Enumerate.paths
+      in
+      let kept, stats = Undetectable.filter c faults in
+      let ref_direct = ref 0 and ref_implication = ref 0 in
+      let ref_kept =
+        List.filter
+          (fun f ->
+            match Robust.conditions c f with
+            | None ->
+              incr ref_direct;
+              false
+            | Some reqs -> (
+              match Pdf_check.Implication_sweep.infer c reqs with
+              | Pdf_sim.Implication.Consistent _ -> true
+              | Pdf_sim.Implication.Conflict _ ->
+                incr ref_implication;
+                false))
+          faults
+      in
+      check Alcotest.bool (name ^ " kept list") true (kept = ref_kept);
+      check Alcotest.int (name ^ " direct") !ref_direct
+        stats.Undetectable.direct_conflicts;
+      check Alcotest.int (name ^ " implication") !ref_implication
+        stats.Undetectable.implication_conflicts;
+      check Alcotest.(pair int int) (name ^ " pinned counts")
+        (direct, implication)
+        (stats.Undetectable.direct_conflicts,
+         stats.Undetectable.implication_conflicts))
+    [ ("b09", 282, 1339); ("s1423*", 61, 325) ]
+
 let test_filter_soundness_s27 () =
   (* Soundness: a fault removed by the filter must have no robust test.
      Exhaustive check over all 2^14 two-pattern input pairs of s27. *)
@@ -594,6 +639,8 @@ let () =
       ( "undetectable",
         [
           Alcotest.test_case "filter counts" `Quick test_filter_counts;
+          Alcotest.test_case "filter matches the reference sweep" `Quick
+            test_filter_matches_sweep;
           Alcotest.test_case "filter soundness (exhaustive s27)" `Slow
             test_filter_soundness_s27;
         ] );

@@ -284,6 +284,39 @@ let test_implication_consistent_helper () =
   check Alcotest.bool "inconsistent" false
     (Implication.consistent c17 [ (n1, Req.rising); (n1, Req.falling) ])
 
+(* The persistent state: two adds reach the one-shot values, a conflict
+   poisons the state until [reset], and [reset] restores all X. *)
+let test_implication_state_lifecycle () =
+  let n22 = Option.get (Circuit.find_net c17 "N22") in
+  let n1 = Option.get (Circuit.find_net c17 "N1") in
+  let reqs = [ (n22, Req.stable false); (n1, Req.final true) ] in
+  let expected =
+    match Implication.infer c17 reqs with
+    | Implication.Consistent v -> v
+    | Implication.Conflict _ -> Alcotest.fail "unexpected conflict"
+  in
+  let t = Implication.create c17 in
+  check Alcotest.bool "first add" true
+    (Result.is_ok (Implication.add t [ List.hd reqs ]));
+  check Alcotest.bool "second add" true
+    (Result.is_ok (Implication.add t (List.tl reqs)));
+  check Alcotest.bool "two adds = one infer" true
+    (Array.for_all2 Triple.equal expected (Implication.snapshot t));
+  (match Implication.add t [ (n1, Req.final false) ] with
+  | Error { Implication.component; _ } ->
+    check Alcotest.int "conflict on the second pattern" 3 component
+  | Ok () -> Alcotest.fail "expected conflict");
+  Alcotest.check_raises "add after a conflict"
+    (Invalid_argument "Implication.add: state holds a conflict") (fun () ->
+      ignore (Implication.add t []));
+  Implication.reset t;
+  check Alcotest.bool "reset restores X" true
+    (Array.for_all
+       (fun v -> Triple.equal v (Triple.make Bit.X Bit.X Bit.X))
+       (Implication.snapshot t));
+  check Alcotest.bool "usable after reset" true
+    (Result.is_ok (Implication.add t reqs))
+
 (* Completeness-ish sanity on s27: the robust conditions of every fault
    kept by the undetectability filter must be implication-consistent (by
    construction of the filter), and a justified test must satisfy them. *)
@@ -343,6 +376,8 @@ let () =
           Alcotest.test_case "forward/backward" `Quick
             test_implication_forward_backward;
           Alcotest.test_case "PI coupling" `Quick test_implication_pi_coupling;
+          Alcotest.test_case "state lifecycle" `Quick
+            test_implication_state_lifecycle;
           Alcotest.test_case "transition vs stable" `Quick
             test_implication_transition_vs_stable;
           Alcotest.test_case "consistent helper" `Quick
