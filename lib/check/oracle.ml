@@ -685,6 +685,13 @@ let random_reqs rng c =
   in
   from_test @ List.init (Rng.int rng 4) (fun _ -> random_pin ())
 
+let show_reqs c reqs =
+  String.concat " "
+    (List.map
+       (fun (net, r) ->
+         Printf.sprintf "%s=%s" (Circuit.net_name c net) (Req.to_string r))
+       reqs)
+
 (* [l] shuffled, then cut into [k] consecutive, possibly empty, chunks. *)
 let shuffled_chunks rng k l =
   let a = Array.of_list l in
@@ -729,18 +736,11 @@ let check_implication { circuit = c; seed } =
   let whole = I.create c and chunked = I.create c in
   let violation = ref None in
   let fail fmt = Printf.ksprintf (fun m -> violation := Some m) fmt in
-  let show reqs =
-    String.concat " "
-      (List.map
-         (fun (net, r) ->
-           Printf.sprintf "%s=%s" (Circuit.net_name c net) (Req.to_string r))
-         reqs)
-  in
   let round = ref 0 in
   while !violation = None && !round < implication_sets do
     incr round;
     let reqs = random_reqs rng c in
-    let what = Printf.sprintf "{%s} on %s" (show reqs) c.Circuit.name in
+    let what = Printf.sprintf "{%s} on %s" (show_reqs c reqs) c.Circuit.name in
     I.reset whole;
     I.reset chunked;
     if not (all_x (I.snapshot whole) && all_x (I.snapshot chunked)) then
@@ -777,6 +777,115 @@ let check_implication { circuit = c; seed } =
         fail "%s: sweep conflict on %s (component %d), worklist consistent"
           what (Circuit.net_name c net) component
     end
+  done;
+  match !violation with Some m -> Fail m | None -> Pass
+
+(* ------------------------------------------------------------------ *)
+(* podem-imply: PODEM's event-driven implication vs the full-cone pass  *)
+(* ------------------------------------------------------------------ *)
+
+let podem_imply_sets = 30
+let podem_imply_steps = 40
+
+type podem_decision = {
+  pd_pi : int;
+  pd_j : int;
+  mutable pd_value : bool;
+  mutable pd_flipped : bool;
+  pd_mark : int;
+  pd_before : string;  (* snapshot before the decision's assignment *)
+}
+
+(* Per random requirement set: a PODEM search state driven through a
+   random sequence of decide / flip / pop steps — the moves of the
+   engine's chronological backtracking, a flip or pop undoing the trail
+   to the decision's mark.  After every step the incremental implied
+   values must equal the full-cone pass recomputed from the pattern bits
+   on every net and component; a pop must restore the snapshot taken
+   before the popped decision, and undoing to the search's first mark
+   the snapshot taken right after preparation. *)
+let check_podem_imply { circuit = c; seed } =
+  let module I = Podem.Internal in
+  let rng = Rng.create seed in
+  let eng = Podem.create c in
+  let violation = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> violation := Some m) fmt in
+  let against_full what st =
+    let full = I.imply_full st in
+    for k = 0 to 2 do
+      Array.iteri
+        (fun net want ->
+          let got = I.implied st k net in
+          if !violation = None && not (Bit.equal got want) then
+            fail "%s: net %s component %d is %c incrementally, %c by the \
+                  full pass"
+              what (Circuit.net_name c net) k (Bit.char got) (Bit.char want))
+        full.(k)
+    done
+  in
+  let run_search reqs st =
+    let what = Printf.sprintf "{%s} on %s" (show_reqs c reqs) c.Circuit.name in
+    let first = I.mark st and initial = I.snapshot st in
+    let open_bits () =
+      Array.fold_right
+        (fun pi acc ->
+          let acc =
+            if Bit.equal (I.implied st 2 pi) Bit.X then (pi, 3) :: acc else acc
+          in
+          if Bit.equal (I.implied st 0 pi) Bit.X then (pi, 1) :: acc else acc)
+        (I.cone_pis st) []
+    in
+    let stack = ref [] and steps = ref 0 and stop = ref false in
+    while !violation = None && (not !stop) && !steps < podem_imply_steps do
+      incr steps;
+      let bits = open_bits () in
+      match !stack with
+      | [] when bits = [] -> stop := true
+      | d :: rest when bits = [] || Rng.int rng 3 = 0 ->
+        if (not d.pd_flipped) && Rng.bool rng then begin
+          I.undo st d.pd_mark;
+          d.pd_flipped <- true;
+          d.pd_value <- not d.pd_value;
+          I.assign st (d.pd_pi, d.pd_j, d.pd_value);
+          against_full
+            (Printf.sprintf "%s, after flipping %s.%d" what
+               (Circuit.net_name c d.pd_pi) d.pd_j)
+            st
+        end
+        else begin
+          I.undo st d.pd_mark;
+          stack := rest;
+          if not (String.equal (I.snapshot st) d.pd_before) then
+            fail "%s: popping %s.%d did not restore the state" what
+              (Circuit.net_name c d.pd_pi) d.pd_j
+        end
+      | _ ->
+        let pi, j = List.nth bits (Rng.int rng (List.length bits)) in
+        let v = Rng.bool rng in
+        let d =
+          { pd_pi = pi; pd_j = j; pd_value = v; pd_flipped = false;
+            pd_mark = I.mark st; pd_before = I.snapshot st }
+        in
+        I.assign st (pi, j, v);
+        stack := d :: !stack;
+        against_full
+          (Printf.sprintf "%s, after deciding %s.%d=%b" what
+             (Circuit.net_name c pi) j v)
+          st
+    done;
+    if !violation = None then begin
+      I.undo st first;
+      if not (String.equal (I.snapshot st) initial) then
+        fail "%s: undoing every decision did not restore the state" what
+    end
+  in
+  let round = ref 0 in
+  while !violation = None && !round < podem_imply_sets do
+    incr round;
+    let reqs = random_reqs rng c in
+    match I.prepare eng ~reqs with
+    | None -> ()
+    | Some st -> run_search reqs st
   done;
   match !violation with Some m -> Fail m | None -> Pass
 
@@ -1053,6 +1162,10 @@ let all =
       doc = "the event-driven implication engine agrees with the fixpoint \
              sweep it replaced";
       check = check_implication };
+    { name = "podem-imply";
+      doc = "PODEM's event-driven implication with trail undo equals the \
+             full-cone pass after every decide, flip and pop";
+      check = check_podem_imply };
     { name = "robust-timing";
       doc = "robust detection implies event-driven timing detection";
       check = check_robust_timing };

@@ -43,6 +43,11 @@
       random requirement sets: equal verdicts, equal values on every net
       and layer when consistent, the same verdict and values when the set
       is added as k shuffled chunks, and all-X after [reset];
+    - [podem-imply] — {!Pdf_core.Podem}'s event-driven implication
+      against the full-cone pass it replaced, over random requirement
+      sets driven through random decide / flip / pop sequences: equal
+      values on every net and component after every step, and an undo
+      to a decision's trail mark restores the state from before it;
     - [robust-timing] — robust detection per {!Pdf_core.Fault_sim}
       implies physical detection by the event-driven
       {!Pdf_core.Timing.detects} ground truth with [extra = slack + 1];

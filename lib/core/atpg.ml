@@ -53,8 +53,11 @@ let delta acc reqs =
   try
     (* Small hash table keyed by net: requirement lists repeat nets, and
        the assoc-list accumulator this replaces was quadratic in the
-       requirement count on the hottest compaction path. *)
-    let updates : (int, Req.t) Hashtbl.t = Hashtbl.create 16 in
+       requirement count on the hottest compaction path.  Its fold order
+       becomes the requirement order handed to justification, so it is
+       created with [~random:false]: results must not depend on the hash
+       seed ([OCAMLRUNPARAM=R]). *)
+    let updates : (int, Req.t) Hashtbl.t = Hashtbl.create ~random:false 16 in
     let n =
       List.fold_left
         (fun n (net, req) ->
@@ -125,6 +128,9 @@ type test_state = {
   mutable test : Test_pair.t;
   mutable values : Pdf_values.Triple.t array;
   acc : (int, Req.t) Hashtbl.t;
+      (** the test's accumulated requirements; created with
+          [~random:false], since {!reqs_with} folds it into the
+          requirement order handed to justification *)
   mutable det_masks : int array;
       (** packed detection state of the current test against every target
           (one word per 63 faults), refreshed whenever [values] changes;
@@ -492,7 +498,7 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
           {
             test;
             values = simulate_test test;
-            acc = Hashtbl.create 64;
+            acc = Hashtbl.create ~random:false 64;
             det_masks = [||];
           }
         in

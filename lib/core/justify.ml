@@ -460,8 +460,10 @@ let decide engine st =
       let pi, j = List.nth bits (Rng.int st.rng (List.length bits)) in
       assign engine st pi j (Rng.bool st.rng))
 
+(* [~random:false]: the fold order is the requirement order, which picks
+   the blamed conflict net, so it must not depend on the hash seed. *)
 let merge_reqs reqs =
-  let acc = Hashtbl.create 16 in
+  let acc = Hashtbl.create ~random:false 16 in
   let ok =
     List.for_all
       (fun (net, req) ->

@@ -9,9 +9,11 @@
     intermediate component 1 implied alongside — and the search loop is
     the classical one:
 
-    + {e imply}: one topological pass over the requirement cone,
-      evaluating all three components with the shared
-      {!Pdf_sim.Logic_sim.eval_gate_get};
+    + {e imply}: event-driven forward implication over the requirement
+      cone — an assigned pattern bit queues its in-cone fanouts, gates
+      pop in ascending index order and are evaluated on all three
+      components with the shared {!Pdf_sim.Logic_sim.eval_gate}, and a
+      gate's fanouts are queued only when its output changed;
     + {e objective}: the first requirement component still implied to X
       (the frontier generalises the classical D-frontier: until the test
       is found it is never empty, because an unsatisfied requirement is
@@ -19,18 +21,20 @@
     + {e backtrace}: walk the objective backward through X-valued nets
       to an unassigned primary-input pattern bit, choosing per-gate
       target values by probing the evaluator;
-    + {e decide / backtrack}: assign the bit, re-imply, and on a
-      conflict flip the most recent unflipped decision (chronological
-      backtracking, bounded by a backtrack budget).
+    + {e decide / backtrack}: assign the bit and imply it; on a conflict
+      undo the trail to the most recent unflipped decision and imply its
+      other value (chronological backtracking, bounded by a backtrack
+      budget).
 
     The engine is deterministic — no randomness anywhere — and complete
     up to its budget: {!Proved_unsatisfiable} means the whole decision
     tree over the cone's input bits was refuted. *)
 
 type t
-(** A PODEM engine for one circuit, holding per-engine effort counters
-    and conflict forensics.  Drive each engine from a single domain at a
-    time. *)
+(** A PODEM engine for one circuit, holding per-engine effort counters,
+    conflict forensics and the search scratch (value layers, trail,
+    worklist), sized once to the circuit.  Drive each engine from a
+    single domain at a time. *)
 
 val create : ?attrib:Pdf_obs.Attrib.sheet -> Pdf_circuit.Circuit.t -> t
 (** A fresh engine.  When [attrib] is given, effort is charged to the
@@ -65,8 +69,8 @@ val decisions : t -> int
 val backtracks : t -> int
 val imply_calls : t -> int
 val imply_gates : t -> int
-(** Implication effort: every pass charged the full cone gate count —
-    the same semantic unit as {!Justify.resim_gates}. *)
+(** Modelled implication effort: every implication charged the full cone
+    gate count — the same semantic unit as {!Justify.resim_gates}. *)
 
 val aborts : t -> int
 (** Runs that returned {!Gave_up}. *)
@@ -96,10 +100,13 @@ val injected_bug_enabled : unit -> bool
 
 (** {2 Exposed internals}
 
-    For the property tests in [test_core.ml] only: the search-state
-    invariants (frontier non-empty until detection, backtrace reaching
-    an unassigned PI, monotone implication, exact backtrack restore)
-    are stated against these. *)
+    For the property tests in [test_core.ml] and the [podem-imply] fuzz
+    oracle only: the search-state invariants (frontier non-empty until
+    detection, backtrace reaching an unassigned PI, monotone
+    implication, exact undo, incremental implication equal to the full
+    pass) are stated against these.  A state lives in its engine's
+    scratch: preparing or running another search on the same engine
+    ends it. *)
 
 module Internal : sig
   type state
@@ -109,7 +116,26 @@ module Internal : sig
   (** Build a search state for the merged requirements and run the
       initial implication; [None] on a directly conflicting set. *)
 
-  val imply : state -> unit
+  val assign : state -> int * int * bool -> unit
+  (** [assign st (pi, pattern, value)] sets an unassigned pattern bit
+      ([pattern] 1 or 3) of a cone PI and implies it, event-driven.
+      Raises [Invalid_argument] when the bit is already assigned. *)
+
+  val mark : state -> int
+  (** The current trail position. *)
+
+  val undo : state -> int -> unit
+  (** [undo st m] restores the assignment and implied values to what
+      they were when {!mark} returned [m]. *)
+
+  val implied : state -> int -> int -> Pdf_values.Bit.t
+  (** [implied st k net]: component [k] (0, 1 or 2) of [net]. *)
+
+  val imply_full : state -> Pdf_values.Bit.t array array
+  (** The reference full-cone pass recomputed from the current pattern
+      bits into fresh [3 x nets] layers (X outside the cone); the
+      incremental values must equal it everywhere. *)
+
   val frontier : state -> (int * int) list
   (** Unsatisfied requirement components, as [(net, component)] pairs in
       deterministic order. *)
@@ -122,10 +148,6 @@ module Internal : sig
       bit is always unassigned. *)
 
   val cone_pis : state -> int array
-  val assign : state -> int * int * bool -> unit
-  (** Set a PI pattern bit without implying (call {!imply} after). *)
-
-  val unassign : state -> int * int -> unit
 
   val snapshot : state -> string
   (** Canonical rendering of the full search state (assignment and

@@ -807,7 +807,9 @@ let test_podem_deterministic () =
    - every backtrace lands on an unassigned pattern bit of a cone PI;
    - implication is monotone: a definite implied value never changes
      when a further assignment is added;
-   - unassigning the bit and re-implying restores the exact state
+   - the event-driven implication equals the full-cone pass on every
+     net and component;
+   - undoing the trail to the decision's mark restores the exact state
      (the engine's backtracking is a true undo). *)
 let prop_podem_search_invariants =
   QCheck.Test.make ~name:"PODEM internals: search-state invariants"
@@ -825,6 +827,17 @@ let prop_podem_search_invariants =
       let faults = Fault_sim.prepare c ts.Target_sets.p in
       let eng = Podem.create c in
       let module I = Podem.Internal in
+      let matches_full_pass st =
+        let full = I.imply_full st in
+        let ok = ref true in
+        for k = 0 to 2 do
+          Array.iteri
+            (fun net v ->
+              if not (Bit.equal v (I.implied st k net)) then ok := false)
+            full.(k)
+        done;
+        !ok
+      in
       let failure = ref None in
       let fail msg = if !failure = None then failure := Some msg in
       let check_fault (p : Fault_sim.prepared) =
@@ -859,8 +872,8 @@ let prop_podem_search_invariants =
                   let pos = if j = 1 then pi else c.Circuit.num_pis + 1 + pi in
                   if before.[pos] <> 'x' then
                     fail "backtrace targeted an assigned bit";
+                  let mark = I.mark st in
                   I.assign st (pi, j, v);
-                  I.imply st;
                   let after = I.snapshot st in
                   let bar = String.index before '|' in
                   String.iteri
@@ -868,13 +881,13 @@ let prop_podem_search_invariants =
                       if i > bar && (ch = '0' || ch = '1') && after.[i] <> ch
                       then fail "definite implied value changed under refinement")
                     before;
-                  I.unassign st (pi, j);
-                  I.imply st;
+                  if not (matches_full_pass st) then
+                    fail "incremental implication differs from the full pass";
+                  I.undo st mark;
                   if not (String.equal (I.snapshot st) before) then
-                    fail "unassign + imply did not restore the state";
+                    fail "undo to the decision's mark did not restore the state";
                   (* re-apply the decision and keep searching *)
-                  I.assign st (pi, j, v);
-                  I.imply st)
+                  I.assign st (pi, j, v))
             end
           done
       in
@@ -1005,49 +1018,64 @@ let test_portfolio_chain_identity () =
        (13, "1cf5cf65f4faf17fc7cbfa8b2cd54c50"));
     ]
 
-(* One simulation-justified enrichment of b09 at the CLI defaults
-   ([pdfatpg enrich b09 --justify sim], which [pdfatpg trace b09] also
-   runs), through the same session layer as the CLI: the ledger, the
-   justify and implication work counters it moved, and the minor words
-   allocated inside the [justify] spans. *)
+(* One enrichment of b09 through the same session layer as the CLI
+   ([pdfatpg enrich b09 --justify <kind> --n-p <n_p> --n-p0 <n_p0>]):
+   the ledger, how far each of [counters] moved, and the minor words
+   allocated inside the spans named [span]. *)
+let b09_session_enrich ?(n_p = Pdf_serve.Session.default_params.n_p)
+    ?(n_p0 = Pdf_serve.Session.default_params.n_p0) justify ~counters ~span =
+  let module Session = Pdf_serve.Session in
+  let module Metrics = Pdf_obs.Metrics in
+  let module Span = Pdf_obs.Span in
+  let read () =
+    List.map (fun n -> Metrics.value (Metrics.counter n)) counters
+  in
+  let before = read () in
+  let agg = Span.agg () in
+  let prev = Span.sink () in
+  Span.set_sink (Span.agg_sink agg);
+  let l = Ledger.create () in
+  (match
+     Fun.protect
+       ~finally:(fun () -> Span.set_sink prev)
+       (fun () ->
+         Session.enrich ~ledger:l (Session.create ()) ~circuit:"b09"
+           ~params:{ Session.default_params with n_p; n_p0; justify }
+           ~coverage:false)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Session.error_message e));
+  let moved =
+    List.combine counters (List.map2 (fun a b -> b - a) before (read ()))
+  in
+  let words =
+    List.fold_left
+      (fun acc (r : Span.agg_row) ->
+        if r.Span.row_name = span then acc +. (r.Span.alloc_mw *. 1e6) else acc)
+      0. (Span.agg_rows agg)
+  in
+  (l, moved, words)
+
+(* The CLI-default simulation-justified run ([pdfatpg trace b09] runs it
+   too): its justify and implication work counters and the words the
+   [justify] spans allocate. *)
 let b09_sim_enrich =
   lazy
-    (let module Session = Pdf_serve.Session in
-     let module Metrics = Pdf_obs.Metrics in
-     let module Span = Pdf_obs.Span in
-     let counters =
-       [ "justify.runs"; "justify.trials"; "justify.trial_evals";
-         "justify.conflict_hits"; "implication.gate_visits" ]
-     in
-     let read () =
-       List.map (fun n -> Metrics.value (Metrics.counter n)) counters
-     in
-     let before = read () in
-     let agg = Span.agg () in
-     let prev = Span.sink () in
-     Span.set_sink (Span.agg_sink agg);
-     let l = Ledger.create () in
-     (match
-        Fun.protect
-          ~finally:(fun () -> Span.set_sink prev)
-          (fun () ->
-            Session.enrich ~ledger:l (Session.create ()) ~circuit:"b09"
-              ~params:{ Session.default_params with justify = Justify.Sim }
-              ~coverage:false)
-      with
-     | Ok _ -> ()
-     | Error e -> Alcotest.fail (Session.error_message e));
-     let moved =
-       List.combine counters (List.map2 (fun a b -> b - a) before (read ()))
-     in
-     let justify_words =
-       List.fold_left
-         (fun acc (r : Span.agg_row) ->
-           if r.Span.row_name = "justify" then acc +. (r.Span.alloc_mw *. 1e6)
-           else acc)
-         0. (Span.agg_rows agg)
-     in
-     (l, moved, justify_words))
+    (b09_session_enrich Justify.Sim ~span:"justify"
+       ~counters:
+         [ "justify.runs"; "justify.trials"; "justify.trial_evals";
+           "justify.conflict_hits"; "implication.gate_visits" ])
+
+(* The smaller structural runs the CI ledger steps use. *)
+let b09_podem_enrich =
+  lazy
+    (b09_session_enrich ~n_p:400 ~n_p0:80 Justify.Podem ~span:"podem"
+       ~counters:[ "podem.implications"; "podem.imply_evals" ])
+
+let b09_portfolio_enrich =
+  lazy
+    (b09_session_enrich ~n_p:400 ~n_p0:80 Justify.Portfolio ~span:"podem"
+       ~counters:[])
 
 let ledger_md5 l = Digest.to_hex (Digest.string (Ledger.to_jsonl l))
 
@@ -1105,6 +1133,34 @@ let test_b09_sim_trial_work () =
   if per_trial > 16. then
     Alcotest.failf "justify allocates %.1f minor words per trial (> 16)"
       per_trial
+
+(* PODEM's implication became event-driven with trail undo (DESIGN.md
+   §15.1) with every decision, backtrack and ledger byte kept: these are
+   the digests of the full-cone engine it replaced. *)
+let test_b09_podem_ledger_pinned () =
+  let l, _, _ = Lazy.force b09_podem_enrich in
+  check Alcotest.string "enrich b09 --justify podem ledger MD5"
+    "d55b39e72197ffd5ec8a2141287d132b" (ledger_md5 l)
+
+let test_b09_portfolio_ledger_pinned () =
+  let l, _, _ = Lazy.force b09_portfolio_enrich in
+  check Alcotest.string "enrich b09 --justify portfolio ledger MD5"
+    "dc3f4d12e027451fc5f86029ab63c53b" (ledger_md5 l)
+
+let test_b09_podem_implication_alloc () =
+  (* An implication allocates nothing: what the [podem] spans allocate
+     per implication is the per-run set-up (merged requirements, cone,
+     closures) and the per-decision objective, amortised (the full-cone
+     pass allocated ~2.5k words each). *)
+  let _, moved, words = Lazy.force b09_podem_enrich in
+  let implications = List.assoc "podem.implications" moved in
+  check Alcotest.bool "PODEM implied" true (implications > 0);
+  check Alcotest.bool "implication evaluated gates" true
+    (List.assoc "podem.imply_evals" moved > 0);
+  let per_implication = words /. float_of_int implications in
+  if per_implication > 64. then
+    Alcotest.failf "PODEM allocates %.1f minor words per implication (> 64)"
+      per_implication
 
 let test_portfolio_charges_only_winner () =
   (* PODEM heads the chain and satisfies every s27 fault, so the
@@ -1480,6 +1536,12 @@ let () =
             `Quick test_b09_sim_ledger_sites_only;
           Alcotest.test_case "b09 sim trial work and allocation" `Quick
             test_b09_sim_trial_work;
+          Alcotest.test_case "b09 podem ledger pinned" `Quick
+            test_b09_podem_ledger_pinned;
+          Alcotest.test_case "b09 portfolio ledger pinned" `Quick
+            test_b09_portfolio_ledger_pinned;
+          Alcotest.test_case "b09 podem allocation per implication" `Quick
+            test_b09_podem_implication_alloc;
           Alcotest.test_case "portfolio charges only the winner" `Quick
             test_portfolio_charges_only_winner;
           Alcotest.test_case "records name the winner" `Quick
