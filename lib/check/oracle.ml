@@ -84,6 +84,40 @@ let random_pattern rng n =
   done;
   a
 
+(* A random requirement set: the values a random test pair simulates to
+   on a few nets, each component kept with probability 2/3 (satisfiable,
+   so mostly consistent), optionally followed by a few uniformly random
+   pins, which usually make it conflict. *)
+let random_reqs rng c =
+  let nets = Circuit.num_nets c in
+  let pin_of bit =
+    match Bit.to_bool bit with
+    | Some b when Rng.int rng 3 > 0 -> Req.Must b
+    | Some _ | None -> Req.Any
+  in
+  let values =
+    Test_pair.simulate c
+      (Test_pair.create
+         (random_pattern rng c.Circuit.num_pis)
+         (random_pattern rng c.Circuit.num_pis))
+  in
+  let from_test =
+    List.init (1 + Rng.int rng 6) (fun _ ->
+        let net = Rng.int rng nets in
+        let (v : Triple.t) = values.(net) in
+        ( net,
+          { Req.r1 = pin_of v.Triple.v1; r2 = pin_of v.Triple.v2;
+            r3 = pin_of v.Triple.v3 } ))
+  in
+  let random_pin () =
+    let comp () = if Rng.bool rng then Req.Must (Rng.bool rng) else Req.Any in
+    let r1 = comp () in
+    let r2 = comp () in
+    let r3 = comp () in
+    (Rng.int rng nets, { Req.r1; r2; r3 })
+  in
+  from_test @ List.init (Rng.int rng 4) (fun _ -> random_pin ())
+
 let random_tests rng c n =
   let pis = c.Circuit.num_pis in
   let rec go acc k =
@@ -564,7 +598,11 @@ let check_justify_podem { circuit = c; seed } =
    agree on everything the search and the ledger can observe: the
    verdict, the blamed conflict net, the evaluation count, the overlay
    each trial leaves behind, and the per-net evaluation and conflict
-   charges. *)
+   charges.  A third engine then checks the dirty-bit schedule of the
+   necessary-value passes on the same requirements, and on random
+   requirement sets. *)
+let clean_rounds = 16
+
 let check_justify_trial { circuit = c; seed } =
   let _, _, faults = target_faults c in
   if Array.length faults = 0 then Skip "no detectable target faults"
@@ -575,9 +613,58 @@ let check_justify_trial { circuit = c; seed } =
     let sheet_r = Attrib.make_sheet ~nets in
     let ew = Justify.create ~attrib:sheet_w c in
     let er = Justify.create ~attrib:sheet_r c in
+    let ec = Justify.create c in
     let rng = Rng.create seed in
     let violation = ref None in
     let fail fmt = Printf.ksprintf (fun m -> violation := Some m) fmt in
+    (* Dirty-bit soundness: the production passes skip a clean bit, so
+       every open bit the engine holds clean must pass a fresh trial both
+       ways — after the passes, and after each random assignment made
+       through the production path, until the search runs out of open
+       bits, conflicts, or has taken [clean_rounds] assignments. *)
+    let check_clean_bits fname sc =
+      let pis = I.cone_pis sc in
+      let open_bits () =
+        Array.to_list pis
+        |> List.concat_map (fun pi ->
+               List.filter_map
+                 (fun j -> if I.specified sc pi j then None else Some (pi, j))
+                 [ 1; 3 ])
+      in
+      let check_clean after =
+        List.iter
+          (fun (pi, j) ->
+            if I.clean sc pi j then
+              List.iter
+                (fun b ->
+                  if !violation = None && I.trial sc pi j b then
+                    fail
+                      "bit %s.%d is clean %s but its trial at %b conflicts, \
+                       for %s on %s"
+                      (Circuit.net_name c pi) j after b fname c.Circuit.name)
+                [ false; true ])
+          (open_bits ())
+      in
+      let live = ref (I.necessary_values sc) and rounds = ref 0 in
+      if !live then check_clean "after the necessary-value passes";
+      while
+        !live && !violation = None && !rounds < clean_rounds
+        && open_bits () <> []
+      do
+        incr rounds;
+        let bits = open_bits () in
+        let pi, j = List.nth bits (Rng.int rng (List.length bits)) in
+        let b = Rng.bool rng in
+        I.assign sc pi j b;
+        check_clean
+          (Printf.sprintf "after assigning %s.%d=%b" (Circuit.net_name c pi) j
+             b);
+        if !violation = None then begin
+          live := I.necessary_values sc;
+          if !live then check_clean "after the necessary-value passes"
+        end
+      done
+    in
     let check_search fname sw sr =
       let pis = I.cone_pis sw in
       let open_bits = ref [] in
@@ -637,10 +724,31 @@ let check_justify_trial { circuit = c; seed } =
         let reqs = faults.(i).Fault_sim.reqs in
         let fname = Fault.to_string c faults.(i).Fault_sim.fault in
         match (I.prepare ew ~reqs, I.prepare er ~reqs) with
-        | Some sw, Some sr -> check_search fname sw sr
+        | Some sw, Some sr -> (
+          check_search fname sw sr;
+          match I.prepare ec ~reqs with
+          | Some sc when !violation = None -> check_clean_bits fname sc
+          | Some _ | None -> ())
         | None, None -> ()
         | _ -> fail "prepare disagrees for %s on %s" fname c.Circuit.name
       end
+    done;
+    (* Each random set also pins one PI on its intermediate value alone:
+       the trial of either pattern bit reads the other one through that
+       value, even when no cone gate reads the PI. *)
+    for i = 1 to n_checked do
+      if !violation = None then
+        let pin =
+          ( Rng.int rng c.Circuit.num_pis,
+            { Req.r1 = Req.Any; r2 = Req.Must (Rng.bool rng); r3 = Req.Any } )
+        in
+        let reqs = pin :: random_reqs rng c in
+        match I.prepare ec ~reqs with
+        | Some sc ->
+          check_clean_bits
+            (Printf.sprintf "random requirement set %d" i)
+            sc
+        | None -> ()
     done;
     match !violation with Some m -> Fail m | None -> Pass
   end
@@ -650,40 +758,6 @@ let check_justify_trial { circuit = c; seed } =
 (* ------------------------------------------------------------------ *)
 
 let implication_sets = 40
-
-(* A random requirement set: the values a random test pair simulates to
-   on a few nets, each component kept with probability 2/3 (satisfiable,
-   so mostly consistent), optionally followed by a few uniformly random
-   pins, which usually make it conflict. *)
-let random_reqs rng c =
-  let nets = Circuit.num_nets c in
-  let pin_of bit =
-    match Bit.to_bool bit with
-    | Some b when Rng.int rng 3 > 0 -> Req.Must b
-    | Some _ | None -> Req.Any
-  in
-  let values =
-    Test_pair.simulate c
-      (Test_pair.create
-         (random_pattern rng c.Circuit.num_pis)
-         (random_pattern rng c.Circuit.num_pis))
-  in
-  let from_test =
-    List.init (1 + Rng.int rng 6) (fun _ ->
-        let net = Rng.int rng nets in
-        let (v : Triple.t) = values.(net) in
-        ( net,
-          { Req.r1 = pin_of v.Triple.v1; r2 = pin_of v.Triple.v2;
-            r3 = pin_of v.Triple.v3 } ))
-  in
-  let random_pin () =
-    let comp () = if Rng.bool rng then Req.Must (Rng.bool rng) else Req.Any in
-    let r1 = comp () in
-    let r2 = comp () in
-    let r3 = comp () in
-    (Rng.int rng nets, { Req.r1; r2; r3 })
-  in
-  from_test @ List.init (Rng.int rng 4) (fun _ -> random_pin ())
 
 let show_reqs c reqs =
   String.concat " "

@@ -37,7 +37,10 @@
       ascending gate-index worklist) against the full-cone scan it
       replaced, over random partial assignments: conflict verdict,
       blamed net, evaluation count, per-net evaluation and conflict
-      charges, and the overlay values must all agree;
+      charges, and the overlay values must all agree; and the dirty-bit
+      schedule of the necessary-value passes: after the passes and after
+      each random assignment, every open bit the engine holds clean must
+      pass a fresh trial both ways;
     - [implication] — the event-driven {!Pdf_sim.Implication} state
       against the fixpoint sweep {!Implication_sweep} it replaced, over
       random requirement sets: equal verdicts, equal values on every net

@@ -22,11 +22,13 @@ type t = {
   queued : bool array;
   st : Wsim.Inc.stats;
   att : Pdf_obs.Attrib.sheet option;
+  log : int array; (* nets rewritten since [clear_log]; empty when off *)
+  mutable log_len : int;
   mutable lo : int;
   mutable hi : int;
 }
 
-let create ?attrib ?gate_mask c ~s =
+let create ?attrib ?gate_mask ?(log = false) c ~s =
   let n = Circuit.num_nets c in
   let ng = Circuit.num_gates c in
   let np = c.Circuit.num_pis in
@@ -52,6 +54,8 @@ let create ?attrib ?gate_mask c ~s =
     queued = Array.make ng false;
     st = { Wsim.Inc.assigns = 0; resim_gates = 0; early_stops = 0 };
     att = attrib;
+    log = (if log then Array.make n 0 else [||]);
+    log_len = 0;
     lo = max_int;
     hi = -1;
   }
@@ -67,6 +71,18 @@ let reset_stats t =
   t.st.Wsim.Inc.assigns <- 0;
   t.st.Wsim.Inc.resim_gates <- 0;
   t.st.Wsim.Inc.early_stops <- 0
+
+let log t = t.log
+
+let log_length t = t.log_len
+
+let clear_log t = t.log_len <- 0
+
+let note_changed t net =
+  if Array.length t.log > 0 then begin
+    t.log.(t.log_len) <- net;
+    t.log_len <- t.log_len + 1
+  end
 
 let enqueue t gi =
   if t.mask.(gi) && not t.queued.(gi) then begin
@@ -92,6 +108,7 @@ let set_pi t pi ~v1 ~v3 =
     t.s.(0).(pi) <- v1;
     t.s.(2).(pi) <- v3;
     t.s.(1).(pi) <- Two_pattern.middle_of_pair v1 v3;
+    note_changed t pi;
     dirty_net t pi
   end
 
@@ -122,7 +139,10 @@ let propagate t =
           sk.(out) <- v
         end
       done;
-      if !changed then dirty_net t out
+      if !changed then begin
+        note_changed t out;
+        dirty_net t out
+      end
       else t.st.Wsim.Inc.early_stops <- t.st.Wsim.Inc.early_stops + 1
     done;
     incr l

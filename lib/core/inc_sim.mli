@@ -23,6 +23,7 @@ type t
 val create :
   ?attrib:Pdf_obs.Attrib.sheet ->
   ?gate_mask:bool array ->
+  ?log:bool ->
   Pdf_circuit.Circuit.t ->
   s:Pdf_values.Bit.t array array ->
   t
@@ -32,8 +33,9 @@ val create :
     assignment.  [gate_mask], when given, must have one entry per gate;
     it is copied.  When [attrib] is given, every dirty-cone gate
     re-evaluation bumps the sheet's [inc_resims] counter for the gate's
-    output net (engine-variant attribution, {!Pdf_obs.Attrib}).  Raises
-    [Invalid_argument] on shape mismatches. *)
+    output net (engine-variant attribution, {!Pdf_obs.Attrib}).  With
+    [~log:true] the instance keeps a changed-net log (see {!log}).
+    Raises [Invalid_argument] on shape mismatches. *)
 
 val set_pi : t -> int -> v1:Pdf_values.Bit.t -> v3:Pdf_values.Bit.t -> unit
 (** Install PI [pi]'s two pattern values; the intermediate component is
@@ -43,6 +45,28 @@ val set_pi : t -> int -> v1:Pdf_values.Bit.t -> v3:Pdf_values.Bit.t -> unit
 val propagate : t -> unit
 (** Drain the dirty worklist in level order.  With no pending changes
     this is a no-op (plus one counted assign). *)
+
+(** {2 Changed-net log}
+
+    With [~log:true], {!set_pi} and {!propagate} append every net they
+    rewrite to a log: a PI whose assignment changed, and a gate output
+    whose three-component value differs from before.  Each logged net
+    therefore differs from the previous fixpoint, and between two calls
+    of {!clear_log} spanning one [set_pi] per input and one [propagate],
+    each net is logged at most once — exactly the nets a full
+    re-simulation would find changed.  The log holds [num_nets] entries
+    and the caller clears it: an append past that raises
+    [Invalid_argument].  Without [~log] nothing is recorded.  The
+    justify engine reads it to re-try only the necessary-value trials an
+    assignment could have changed (DESIGN.md §13.6). *)
+
+val log : t -> int array
+(** The log buffer, aliased: its first {!log_length} entries are the
+    logged nets, oldest first. *)
+
+val log_length : t -> int
+
+val clear_log : t -> unit
 
 val stats : t -> Pdf_bitsim.Wsim.Inc.stats
 (** A copy of the cumulative counters since creation or {!reset_stats}. *)

@@ -16,9 +16,12 @@ let m_conflicts = Metrics.counter "justify.conflicts"
 let m_backtracks = Metrics.counter "justify.backtracks"
 
 (* Effort counters behind the attribution layer (DESIGN.md §14).  All
-   three are semantic — defined by the search, not the engine — so they
-   are byte-identical across the PDF_INCSIM/PDF_BITSIM toggles:
-   [trial_evals] counts overlay gate evaluations (pure scalar code),
+   are semantic — defined by the search, not the engine — so they are
+   byte-identical across the PDF_INCSIM/PDF_BITSIM toggles.  [trials]
+   and [trial_evals] count the trials the dirty-bit schedule runs and
+   their overlay gate evaluations (pure scalar code); which bits are
+   dirty depends only on the nets an assignment changed, and both
+   resimulation engines report exactly those (DESIGN.md §13.6).
    [resim_gates] charges every resimulation call its full-pass cost
    (cone size), whichever engine actually ran, and [conflict_hits]
    counts requirement-mismatch events wherever they are detected.  The
@@ -72,10 +75,43 @@ type t = {
   heap : int array;
   mutable heap_len : int;
   mutable evals : int;
+  (* Dirty-bit schedule of the necessary-value passes (DESIGN.md §13.6).
+     [support] holds each gate's PI support as a bitset of [words] ints
+     (63 PIs per word), gate [gi] at [gi * words].  [clean1]/[clean3]
+     are the current search's clean pattern-1/pattern-3 bits, one per
+     PI: a clean bit's last two trials found no conflict and nothing
+     they read has changed since, so a re-try would find none again. *)
+  words : int;
+  support : int array;
+  clean1 : int array;
+  clean3 : int array;
 }
+
+(* [gi]'s PI support: the union of its fanins' supports, filled in
+   ascending gate index, which is topological. *)
+let build_support c words =
+  let np = c.Circuit.num_pis in
+  let support = Array.make (Circuit.num_gates c * words) 0 in
+  Array.iteri
+    (fun gi g ->
+      let base = gi * words in
+      Array.iter
+        (fun net ->
+          if net < np then
+            support.(base + (net / 63)) <-
+              support.(base + (net / 63)) lor (1 lsl (net mod 63))
+          else
+            let fbase = (net - np) * words in
+            for w = 0 to words - 1 do
+              support.(base + w) <- support.(base + w) lor support.(fbase + w)
+            done)
+        g.Circuit.fanins)
+    c.Circuit.gates;
+  support
 
 let create ?attrib circuit =
   let n = Circuit.num_nets circuit and ng = Circuit.num_gates circuit in
+  let words = (circuit.Circuit.num_pis + 62) / 63 in
   {
     circuit;
     att = attrib;
@@ -97,6 +133,10 @@ let create ?attrib circuit =
     heap = Array.make ng 0;
     heap_len = 0;
     evals = 0;
+    words;
+    support = build_support circuit words;
+    clean1 = Array.make words 0;
+    clean3 = Array.make words 0;
   }
 
 let runs t = t.e_runs
@@ -188,11 +228,41 @@ let compute_cone c req_nets =
   done;
   (Array.of_list !cone_gates, Array.of_list !cone_pis)
 
+(* [net]'s persistent value changed: dirty every pattern bit a trial
+   reading it could depend on.  A trial on bit (p, j) reads only the
+   requirements, p's own assignment (net p) and the persistent values of
+   the nets read by the cone gates in p's fanout — each of which has p
+   in its support.  So clearing the support of every cone gate reading
+   [net], and [net] itself when it is a PI (a requirement PI may have no
+   cone reader), leaves clean only bits whose trials would repeat. *)
+let changed engine net =
+  let words = engine.words and sup = engine.support in
+  let c1 = engine.clean1 and c3 = engine.clean3 in
+  let fo = engine.circuit.Circuit.fanouts.(net) in
+  for i = 0 to Array.length fo - 1 do
+    let gi, _pin = fo.(i) in
+    if engine.cone_mark.(gi) = engine.search_id then begin
+      let base = gi * words in
+      for w = 0 to words - 1 do
+        let keep = lnot sup.(base + w) in
+        c1.(w) <- c1.(w) land keep;
+        c3.(w) <- c3.(w) land keep
+      done
+    end
+  done;
+  if net < engine.circuit.Circuit.num_pis then begin
+    let w = net / 63 and keep = lnot (1 lsl (net mod 63)) in
+    c1.(w) <- c1.(w) land keep;
+    c3.(w) <- c3.(w) land keep
+  end
+
 (* Bring [st.s] up to date with [st.a1]/[st.a3].  Incrementally when the
    engine is enabled: only cone PIs whose assignment actually changed
    are seeded and only their dirty fanout cone is re-evaluated, instead
    of the full cone pass below — same fixpoint, so the search (and every
-   test it emits) is byte-identical either way. *)
+   test it emits) is byte-identical either way.  Both engines report
+   exactly the nets whose value differs from the previous fixpoint to
+   {!changed}, so the dirty-bit schedule is engine-independent too. *)
 let resim st =
   (* Semantic cost: a full pass over the cone, whichever engine runs.
      Charged per call so the global counter, the per-engine counter and
@@ -204,25 +274,40 @@ let resim st =
   Metrics.add m_resim_gates (Array.length st.cone_gates);
   match st.inc with
   | Some inc ->
-    Array.iter
-      (fun pi -> Inc_sim.set_pi inc pi ~v1:st.a1.(pi) ~v3:st.a3.(pi))
-      st.cone_pis;
-    Inc_sim.propagate inc
+    for i = 0 to Array.length st.cone_pis - 1 do
+      let pi = st.cone_pis.(i) in
+      Inc_sim.set_pi inc pi ~v1:st.a1.(pi) ~v3:st.a3.(pi)
+    done;
+    Inc_sim.propagate inc;
+    let log = Inc_sim.log inc in
+    for i = 0 to Inc_sim.log_length inc - 1 do
+      changed st.eng log.(i)
+    done;
+    Inc_sim.clear_log inc
   | None ->
-    let middle = Two_pattern.middle_of_pair in
+    let s0 = st.s.(0) and s1 = st.s.(1) and s2 = st.s.(2) in
+    let set net v0 v1 v2 =
+      if
+        not (Bit.equal v0 s0.(net) && Bit.equal v1 s1.(net)
+             && Bit.equal v2 s2.(net))
+      then begin
+        changed st.eng net;
+        s0.(net) <- v0;
+        s1.(net) <- v1;
+        s2.(net) <- v2
+      end
+    in
     Array.iter
       (fun pi ->
-        st.s.(0).(pi) <- st.a1.(pi);
-        st.s.(2).(pi) <- st.a3.(pi);
-        st.s.(1).(pi) <- middle st.a1.(pi) st.a3.(pi))
+        set pi st.a1.(pi)
+          (Two_pattern.middle_of_pair st.a1.(pi) st.a3.(pi))
+          st.a3.(pi))
       st.cone_pis;
+    let eval = Pdf_sim.Logic_sim.eval_gate in
     Array.iter
       (fun gi ->
         let g = st.c.Circuit.gates.(gi) in
-        let out = Circuit.net_of_gate st.c gi in
-        for k = 0 to 2 do
-          st.s.(k).(out) <- Pdf_sim.Logic_sim.eval_gate st.s.(k) g
-        done)
+        set (Circuit.net_of_gate st.c gi) (eval s0 g) (eval s1 g) (eval s2 g))
       st.cone_gates
 
 (* First requirement net whose persistent value contradicts it — the
@@ -405,22 +490,33 @@ let assign engine st pi j b =
     raise No_test
   | None -> ()
 
-(* Try both values of bit [j] of [pi] when it is unspecified, excluding
-   a value whose trial conflicts; [true] when a value was assigned. *)
+let clean_set engine j = if j = 1 then engine.clean1 else engine.clean3
+
+let is_clean engine pi j =
+  (clean_set engine j).(pi / 63) land (1 lsl (pi mod 63)) <> 0
+
+(* Try both values of bit [j] of [pi] when it is unspecified and dirty,
+   excluding a value whose trial conflicts; [true] when a value was
+   assigned.  A bit both of whose trials pass becomes clean until an
+   assignment changes a net its trials read. *)
 let necessary_bit engine st pi j =
   let current = if j = 1 then st.a1.(pi) else st.a3.(pi) in
-  if not (Bit.equal current Bit.X) then false
+  if not (Bit.equal current Bit.X) || is_clean engine pi j then false
   else begin
     let c0 = trial engine st pi j false in
     let c1 = trial engine st pi j true in
     if c0 && c1 then raise No_test;
     (* the value whose trial did not conflict: 1 when 0 conflicted *)
-    if c0 || c1 then assign engine st pi j c0;
+    if c0 || c1 then assign engine st pi j c0
+    else begin
+      let clean = clean_set engine j in
+      clean.(pi / 63) <- clean.(pi / 63) lor (1 lsl (pi mod 63))
+    end;
     c0 || c1
   end
 
 (* One pass over all unspecified cone bits, repeated until no new value
-   is assigned. *)
+   is assigned.  Clean bits are skipped: their trials would pass. *)
 let necessary_values engine st =
   let continue = ref true in
   while !continue do
@@ -432,33 +528,55 @@ let necessary_values engine st =
     done
   done
 
+(* The first cone PI with exactly one pattern bit specified, or -1. *)
+let first_half_specified st =
+  let pis = st.cone_pis in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length pis do
+    let pi = pis.(!i) in
+    if Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi) then
+      found := pi;
+    incr i
+  done;
+  !found
+
 (* Decision step: prefer making a half-specified input stable (the paper's
-   rule), otherwise specify a random unspecified bit randomly. *)
+   rule), otherwise specify a random unspecified bit randomly.  The draw
+   indexes the open bits in cone-PI order, bit 3 before bit 1 of each
+   PI. *)
 let decide engine st =
-  let half_specified =
-    Array.to_list st.cone_pis
-    |> List.find_opt (fun pi ->
-           Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi))
-  in
-  match half_specified with
-  | Some pi ->
-    if Bit.is_definite st.a1.(pi) then
-      assign engine st pi 3 (Bit.equal st.a1.(pi) Bit.One)
-    else assign engine st pi 1 (Bit.equal st.a3.(pi) Bit.One)
-  | None ->
-    let unspecified =
-      Array.to_list st.cone_pis
-      |> List.concat_map (fun pi ->
-             let open_bits = ref [] in
-             if Bit.equal st.a1.(pi) Bit.X then open_bits := (pi, 1) :: !open_bits;
-             if Bit.equal st.a3.(pi) Bit.X then open_bits := (pi, 3) :: !open_bits;
-             !open_bits)
-    in
-    (match unspecified with
-    | [] -> ()
-    | bits ->
-      let pi, j = List.nth bits (Rng.int st.rng (List.length bits)) in
-      assign engine st pi j (Rng.bool st.rng))
+  let half = first_half_specified st in
+  if half >= 0 then begin
+    if Bit.is_definite st.a1.(half) then
+      assign engine st half 3 (Bit.equal st.a1.(half) Bit.One)
+    else assign engine st half 1 (Bit.equal st.a3.(half) Bit.One)
+  end
+  else begin
+    let pis = st.cone_pis in
+    let count = ref 0 in
+    for i = 0 to Array.length pis - 1 do
+      let pi = pis.(i) in
+      if Bit.equal st.a3.(pi) Bit.X then incr count;
+      if Bit.equal st.a1.(pi) Bit.X then incr count
+    done;
+    if !count > 0 then begin
+      (* [k] counts down the open bits before the drawn one. *)
+      let k = ref (Rng.int st.rng !count) and i = ref (-1) and j = ref 0 in
+      while !j = 0 do
+        incr i;
+        let pi = pis.(!i) in
+        if Bit.equal st.a3.(pi) Bit.X then begin
+          if !k = 0 then j := 3;
+          decr k
+        end;
+        if !j = 0 && Bit.equal st.a1.(pi) Bit.X then begin
+          if !k = 0 then j := 1;
+          decr k
+        end
+      done;
+      assign engine st pis.(!i) !j (Rng.bool st.rng)
+    end
+  end
 
 (* [~random:false]: the fold order is the requirement order, which picks
    the blamed conflict net, so it must not depend on the hash seed. *)
@@ -515,12 +633,14 @@ let make_search engine rng merged =
   let cone_gates, cone_pis = compute_cone c req_nets in
   engine.search_id <- engine.search_id + 1;
   Array.iter (fun gi -> engine.cone_mark.(gi) <- engine.search_id) cone_gates;
+  Array.fill engine.clean1 0 engine.words 0;
+  Array.fill engine.clean3 0 engine.words 0;
   let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
   let inc =
     if Wsim.incsim_enabled () then begin
       let mask = Array.make (Circuit.num_gates c) false in
       Array.iter (fun gi -> mask.(gi) <- true) cone_gates;
-      Some (Inc_sim.create ?attrib:engine.att ~gate_mask:mask c ~s)
+      Some (Inc_sim.create ?attrib:engine.att ~gate_mask:mask ~log:true c ~s)
     end
     else None
   in
@@ -621,20 +741,15 @@ let run_complete ?(max_backtracks = 10_000) engine ~reqs =
        half-specified input first (copy value, then its complement), else
        take the first open bit with 0 before 1. *)
     let next_decision () =
-      let half =
-        Array.to_list st.cone_pis
-        |> List.find_opt (fun pi ->
-               Bit.is_definite st.a1.(pi) <> Bit.is_definite st.a3.(pi))
-      in
-      match half with
-      | Some pi ->
+      let pi = first_half_specified st in
+      if pi >= 0 then
         if Bit.is_definite st.a1.(pi) then
           let b = Bit.equal st.a1.(pi) Bit.One in
           Some (pi, 3, [ b; not b ])
         else
           let b = Bit.equal st.a3.(pi) Bit.One in
           Some (pi, 1, [ b; not b ])
-      | None ->
+      else
         Array.to_list st.cone_pis
         |> List.find_map (fun pi ->
                if Bit.equal st.a1.(pi) Bit.X then Some (pi, 1, [ false; true ])
@@ -767,6 +882,16 @@ module Internal = struct
   let assign = set_bit
 
   let trial st pi j b = trial st.eng st pi j b
+
+  let necessary_values st =
+    match necessary_values st.eng st with
+    | () -> true
+    | exception No_test -> false
+
+  let clean st pi j = is_clean st.eng pi j
+
+  let specified st pi j =
+    Bit.is_definite (if j = 1 then st.a1.(pi) else st.a3.(pi))
 
   (* The schedule the worklist replaced: scan the whole ascending cone
      and evaluate every gate with a fanin stamped by this trial, through

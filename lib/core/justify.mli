@@ -137,12 +137,30 @@ module Internal : sig
 
   val assign : search -> int -> int -> bool -> unit
   (** [assign st pi j b] sets pattern bit [j] (1 or 3) of cone input
-      [pi] to [b] and resimulates, without a conflict check. *)
+      [pi] to [b] and resimulates, without a conflict check, through
+      the production path: the same resimulation and dirty marking as an
+      assignment inside {!run}. *)
 
   val trial : search -> int -> int -> bool -> bool
   (** The production trial of bit [j] of [pi] at [b]: [true] on a
       requirement conflict.  Charges the engine's counters, forensics
       and attribution sheet like a trial inside {!run}. *)
+
+  val specified : search -> int -> int -> bool
+  (** [specified st pi j]: bit [j] of [pi] holds a value. *)
+
+  val necessary_values : search -> bool
+  (** The production necessary-value passes, repeated until no value is
+      forced: every dirty unspecified bit is tried both ways, a bit with
+      one conflicting value is assigned the other, and a bit whose
+      trials both pass becomes clean.  [false] when some bit conflicts
+      both ways. *)
+
+  val clean : search -> int -> int -> bool
+  (** [clean st pi j]: bit [j] of [pi] is clean — the passes will skip
+      it, because its last trials both passed and no net they read has
+      changed since.  Every {!assign} dirties the bits whose trials read
+      a net it changed. *)
 
   val reference_trial : search -> int -> int -> bool -> bool
   (** The same trial propagated by scanning the whole requirement cone

@@ -173,7 +173,9 @@ let with_incsim b f =
    no-op, later steps flip a few random PIs (w1 only, w3 only, or
    both; X lanes included).  The packed planes are compared word for
    word against a from-scratch [Wsim.simulate]; the scalar [Inc_sim]
-   state is compared against [Two_pattern.simulate] on lane 0. *)
+   state is compared against [Two_pattern.simulate] on lane 0, and its
+   changed-net log must name exactly the nets whose triple differs from
+   the previous step's, each once. *)
 let check_flip_sequence what c ~seed ~lanes ~steps =
   let rng = Rng.create seed in
   let n = c.Circuit.num_pis in
@@ -187,7 +189,10 @@ let check_flip_sequence what c ~seed ~lanes ~steps =
   let w3 = Array.init n (fun _ -> rand_word ()) in
   let inc = Wsim.Inc.create c ~lanes in
   let s = Array.init 3 (fun _ -> Array.make (Circuit.num_nets c) Bit.X) in
-  let sinc = Inc_sim.create c ~s in
+  let sinc = Inc_sim.create ~log:true c ~s in
+  let prev =
+    ref (Array.make (Circuit.num_nets c) (Triple.make Bit.X Bit.X Bit.X))
+  in
   for step = 0 to steps - 1 do
     if step >= 2 then begin
       let flips = 1 + Rng.int rng 3 in
@@ -227,7 +232,21 @@ let check_flip_sequence what c ~seed ~lanes ~steps =
           (Triple.equal scalar.(net)
              (Triple.make s.(0).(net) s.(1).(net) s.(2).(net)))
       then Alcotest.failf "%s: scalar step %d net %d diverges" what step net
-    done
+    done;
+    let changed =
+      List.filter
+        (fun net -> not (Triple.equal scalar.(net) !prev.(net)))
+        (List.init (Circuit.num_nets c) Fun.id)
+    in
+    let logged =
+      Array.sub (Inc_sim.log sinc) 0 (Inc_sim.log_length sinc)
+      |> Array.to_list |> List.sort compare
+    in
+    if logged <> changed then
+      Alcotest.failf "%s: step %d logged %d nets, %d changed" what step
+        (List.length logged) (List.length changed);
+    Inc_sim.clear_log sinc;
+    prev := scalar
   done;
   (* The state did real incremental work: stats must show assigns and,
      past the first full seeding, early stops on unchanged cones. *)

@@ -567,7 +567,7 @@ let test_explain_golden () =
        0001010/1101010\n\
       \  6 secondary fold(s) into this test\n\
       \  this fault folded at step 3 (free)\n\
-      \  justification effort: 2 runs, 80 trials, 0 backtracks\n"
+      \  justification effort: 2 runs, 64 trials, 0 backtracks\n"
       text
 
 let test_explain_unknown () =
@@ -737,8 +737,8 @@ let test_why_golden () =
        0001010/1000010\n\
       \  4 secondary fold(s) into this test\n\
       \  this fault folded at step 1 (free)\n\
-      \  justification effort: 2 runs, 66 trials, 0 backtracks\n\
-      \  justification effort charged to this fault: 1 run(s), 36 trials, \
+      \  justification effort: 2 runs, 62 trials, 0 backtracks\n\
+      \  justification effort charged to this fault: 1 run(s), 32 trials, \
        0 backtracks, 52 resim gate evals\n\
       \  last requirement conflict: net G15 (id 11, level 3); deepest \
        conflict at level 3\n"
@@ -753,7 +753,7 @@ let test_why_golden () =
        0001010/1101010\n\
       \  6 secondary fold(s) into this test\n\
       \  this fault folded at step 3 (free)\n\
-      \  justification effort: 2 runs, 80 trials, 0 backtracks\n\
+      \  justification effort: 2 runs, 64 trials, 0 backtracks\n\
       \  no justification search ever targeted this fault\n"
       text
 
