@@ -12,6 +12,7 @@ module Log = Pdf_obs.Log
 module Ledger = Pdf_obs.Ledger
 module Attrib = Pdf_obs.Attrib
 module Implication = Pdf_sim.Implication
+module Heap = Pdf_util.Heap
 
 let m_delta_evals = Metrics.counter "atpg.delta_evals"
 
@@ -84,8 +85,73 @@ let delta acc reqs =
     Some (Hashtbl.fold (fun net req l -> (net, req) :: l) updates [], n)
   with Clash -> None
 
-let commit acc updates =
-  List.iter (fun (net, req) -> Hashtbl.replace acc net req) updates
+(* Count-only [n_Delta] for the value-based scan: the count and the
+   conflict verdict of {!delta}, against per-net requirement codes
+   instead of a hash table and an updates list per candidate.  A code
+   holds two bits per component (component [k] at bits [2k], [2k+1]):
+   [01] pins 0, [10] pins 1, [00] leaves it free, so the union of two
+   codes that do not clash is their merge.  [acc_code] mirrors the
+   current test's accumulated requirements (live where [acc_stamp]
+   equals [acc_id]); [new_code] holds the merge of the candidate being
+   counted so far (live where [new_stamp] equals [new_id]). *)
+type delta_scratch = {
+  acc_code : int array;
+  acc_stamp : int array;
+  mutable acc_id : int;
+  new_code : int array;
+  new_stamp : int array;
+  mutable new_id : int;
+}
+
+let delta_scratch nets =
+  {
+    acc_code = Array.make nets 0;
+    acc_stamp = Array.make nets (-1);
+    acc_id = 0;
+    new_code = Array.make nets 0;
+    new_stamp = Array.make nets (-1);
+    new_id = 0;
+  }
+
+let req_code (r : Req.t) =
+  let comp shift = function
+    | Req.Any -> 0
+    | Req.Must false -> 1 lsl shift
+    | Req.Must true -> 2 lsl shift
+  in
+  comp 0 r.Req.r1 lor comp 2 r.Req.r2 lor comp 4 r.Req.r3
+
+(* One bit (0, 2 or 4) per pinned component. *)
+let pinned code = (code lor (code lsr 1)) land 0b010101
+
+let rec count_new ds n = function
+  | [] -> n
+  | (net, want) :: rest ->
+    let cur =
+      if ds.new_stamp.(net) = ds.new_id then ds.new_code.(net)
+      else if ds.acc_stamp.(net) = ds.acc_id then ds.acc_code.(net)
+      else 0
+    in
+    let w = req_code want in
+    let pc = pinned cur and pw = pinned w in
+    if pc land pw land lnot (pinned (cur land w)) <> 0 then -1
+    else begin
+      let added = pw land lnot pc in
+      if added <> 0 then begin
+        ds.new_code.(net) <- cur lor w;
+        ds.new_stamp.(net) <- ds.new_id
+      end;
+      count_new ds
+        (n + (added land 1) + ((added lsr 2) land 1) + ((added lsr 4) land 1))
+        rest
+    end
+
+(* [n_Delta] of [reqs] on top of the accumulated set, or -1 on a direct
+   conflict. *)
+let n_delta ds reqs =
+  Metrics.incr m_delta_evals;
+  ds.new_id <- ds.new_id + 1;
+  count_new ds 0 reqs
 
 let reqs_with acc updates =
   Hashtbl.fold
@@ -126,15 +192,10 @@ let compute_ranks config (faults : Fault_sim.prepared array) =
 
 type test_state = {
   mutable test : Test_pair.t;
-  mutable values : Pdf_values.Triple.t array;
   acc : (int, Req.t) Hashtbl.t;
       (** the test's accumulated requirements; created with
           [~random:false], since {!reqs_with} folds it into the
           requirement order handed to justification *)
-  mutable det_masks : int array;
-      (** packed detection state of the current test against every target
-          (one word per 63 faults), refreshed whenever [values] changes;
-          [[||]] when the packed engine is disabled *)
 }
 
 (* Extend the values implied by the accumulated requirements with the
@@ -175,38 +236,83 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
   let engine = Justify.Engine.create ?attrib:sheet ~kind:jkind c in
   let runs0 = Justify.Engine.runs engine
   and trials0 = Justify.Engine.trials engine in
-  (* Per-test value refresh.  Consecutive accepted tests within one
-     compaction pass differ in a handful of PI bits, so with the
-     incremental engine the refresh re-evaluates only the changed cone
-     of one persistent scalar state instead of three full passes;
-     the resulting triples are identical (PDF_INCSIM=0 restores the
-     plain [Test_pair.simulate] reference). *)
-  let inc_state =
-    if Wsim.incsim_enabled () then
-      let s = Array.init 3 (fun _ -> Array.make (Circuit.num_nets c) Bit.X) in
-      Some (s, Inc_sim.create ?attrib:sheet c ~s)
-    else None
-  in
+  let nets = Circuit.num_nets c and np = c.Circuit.num_pis in
   (* Candidate-scan attribution: charge every delta evaluation to the
-     candidate's requirement nets (shadowing the bare [delta]). *)
+     candidate's requirement nets (shadowing the bare [delta] and
+     [n_delta]). *)
+  let note_scan reqs =
+    match sheet with Some a -> Attrib.note_cand_scan a reqs | None -> ()
+  in
   let delta acc reqs =
-    (match sheet with
-    | Some a -> Attrib.note_cand_scan a reqs
-    | None -> ());
+    note_scan reqs;
     delta acc reqs
   in
+  let ds = delta_scratch nets in
+  let n_delta reqs =
+    note_scan reqs;
+    n_delta ds reqs
+  in
+  (* Commit [updates] to the test's accumulated requirements and to
+     their per-net code mirror. *)
+  let commit st updates =
+    List.iter
+      (fun (net, req) ->
+        Hashtbl.replace st.acc net req;
+        ds.acc_code.(net) <- req_code req;
+        ds.acc_stamp.(net) <- ds.acc_id)
+      updates
+  in
+  (* The current test's values: three run-owned scalar planes, and one
+     run-owned triple per net.  Consecutive accepted tests within one
+     compaction pass differ in a handful of PI bits, so the incremental
+     engine re-evaluates only the changed cone instead of three full
+     passes (PDF_INCSIM=0 runs the full passes of [Test_pair.simulate]
+     instead, into the same planes), and only the nets whose triple
+     changed are rewritten; the triples are identical either way.
+     [values_gen] counts the assignments, for the lazy masks below. *)
+  let planes = Array.init 3 (fun _ -> Array.make nets Bit.X) in
+  let inc =
+    if Wsim.incsim_enabled () then
+      Some (Inc_sim.create ?attrib:sheet c ~s:planes)
+    else None
+  in
+  let values = Array.make nets Triple.unknown in
+  let values_gen = ref 0 in
   let simulate_test test =
-    match inc_state with
-    | None -> Test_pair.simulate c test
-    | Some (s, inc) ->
-      for pi = 0 to c.Circuit.num_pis - 1 do
+    incr values_gen;
+    let s0 = planes.(0) and s1 = planes.(1) and s2 = planes.(2) in
+    (match inc with
+    | Some inc ->
+      for pi = 0 to np - 1 do
         Inc_sim.set_pi inc pi
           ~v1:(Bit.of_bool test.Test_pair.v1.(pi))
           ~v3:(Bit.of_bool test.Test_pair.v3.(pi))
       done;
-      Inc_sim.propagate inc;
-      Array.init (Circuit.num_nets c) (fun net ->
-          Triple.make s.(0).(net) s.(1).(net) s.(2).(net))
+      Inc_sim.propagate inc
+    | None ->
+      for pi = 0 to np - 1 do
+        let b1 = Bit.of_bool test.Test_pair.v1.(pi)
+        and b3 = Bit.of_bool test.Test_pair.v3.(pi) in
+        s0.(pi) <- b1;
+        s1.(pi) <- Pdf_sim.Two_pattern.middle_of_pair b1 b3;
+        s2.(pi) <- b3
+      done;
+      let eval = Pdf_sim.Logic_sim.eval_gate in
+      for gi = 0 to Circuit.num_gates c - 1 do
+        let g = c.Circuit.gates.(gi) and out = Circuit.net_of_gate c gi in
+        s0.(out) <- eval s0 g;
+        s1.(out) <- eval s1 g;
+        s2.(out) <- eval s2 g
+      done);
+    for net = 0 to nets - 1 do
+      let v = values.(net) in
+      if
+        not
+          (Bit.equal v.Triple.v1 s0.(net)
+          && Bit.equal v.Triple.v2 s1.(net)
+          && Bit.equal v.Triple.v3 s2.(net))
+      then values.(net) <- Triple.make s0.(net) s1.(net) s2.(net)
+    done
   in
   let ord_name = Ordering.name config.ordering in
   (* Provenance (DESIGN.md §9): everything recorded in the ledger is
@@ -244,23 +350,29 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
      word of faults, replacing the per-fault requirement-list walks in
      both the free check and the end-of-test drop scan.  The scalar
      [Fault_sim.detects_values] path is kept verbatim as the reference
-     (PDF_BITSIM=0) and agrees lane for lane. *)
+     (PDF_BITSIM=0) and agrees lane for lane.  A word is packed lazily:
+     a new test assignment only marks every word stale (bumps
+     [values_gen]), and [detects] packs a stale word on its first read,
+     so a fold packs only the words its free checks touch and the
+     end-of-test drop scan packs each word at most once.  [packs] is
+     [[||]] when the packed engine is disabled. *)
   let packs =
     if Fault_sim.packed_enabled () then
-      Some (Wreq.pack_faults (Array.map (fun p -> p.Fault_sim.reqs) faults))
-    else None
+      Wreq.pack_faults (Array.map (fun p -> p.Fault_sim.reqs) faults)
+    else [||]
   in
-  let refresh_masks st =
-    match packs with
-    | None -> ()
-    | Some packs ->
-      st.det_masks <- Array.map (fun fp -> Wreq.fault_mask fp st.values) packs
-  in
-  let detects st i =
-    match packs with
-    | None -> Fault_sim.detects_values st.values faults.(i)
-    | Some _ ->
-      st.det_masks.(i / Word.lanes) land (1 lsl (i mod Word.lanes)) <> 0
+  let masks = Array.make (Array.length packs) 0 in
+  let mask_gen = Array.make (Array.length packs) (-1) in
+  let detects i =
+    if Array.length packs = 0 then Fault_sim.detects_values values faults.(i)
+    else begin
+      let w = i / Word.lanes in
+      if mask_gen.(w) <> !values_gen then begin
+        masks.(w) <- Wreq.fault_mask packs.(w) values;
+        mask_gen.(w) <- !values_gen
+      end;
+      masks.(w) land (1 lsl (i mod Word.lanes)) <> 0
+    end
   in
   let detected = Array.make n false in
   let tried = Array.make n false in
@@ -359,8 +471,8 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
       reject_reason.(i) <- `Conflict;
       None
     | Some (updates, _) ->
-      if detects st i then begin
-        commit st.acc updates;
+      if detects i then begin
+        commit st updates;
         imply imp updates;
         Metrics.incr m_free;
         Metrics.incr m_folded;
@@ -380,9 +492,8 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         with
         | Some test ->
           st.test <- test;
-          st.values <- simulate_test test;
-          refresh_masks st;
-          commit st.acc updates;
+          simulate_test test;
+          commit st updates;
           imply imp updates;
           Metrics.incr m_folded;
           incr folded_this_test;
@@ -401,70 +512,90 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
       pool
   in
   (* Value-based scan: repeatedly attempt the candidate adding the fewest
-     new required values.  [n_Delta] is cached per candidate and refreshed
-     through a net -> candidates index only when an acceptance pins new
-     values on one of the candidate's lines, so each pass is linear. *)
-  let scan_pool_value_based st pool =
-    let nf = Array.length faults in
-    let in_pool = Array.make nf false in
-    let nd = Array.make nf max_int in
-    let buckets : (int, int list) Hashtbl.t = Hashtbl.create 256 in
-    let refresh i =
-      match delta st.acc faults.(i).Fault_sim.reqs with
-      | None ->
-        in_pool.(i) <- false (* direct conflict: rejected *);
-        reject_reason.(i) <- `Conflict
-      | Some (_, d) -> nd.(i) <- d
+     new required values.  [n_Delta] is cached per candidate in [nd] and
+     a lazy-deletion heap holds the pool keyed on (n_Delta, rank), packed
+     into one int; an entry is stale once its candidate has left the pool
+     or its count has moved.  Ranks are a permutation, so the pick is the
+     pool's argmin.  An acceptance re-counts, once each, the candidates
+     that share a net with the values it pinned (the pool's net ->
+     candidates index) and re-pushes those whose count moved.  A pass
+     therefore costs one count per candidate, one per (acceptance,
+     sharing candidate) and a heap operation per count that moved. *)
+  let in_pool = Array.make n false and nd = Array.make n 0 in
+  let counted_at = Array.make n (-1) and acceptances = ref 0 in
+  let of_rank = Array.make n 0 in
+  Array.iteri (fun i r -> of_rank.(r) <- i) rank;
+  let heap = Heap.create ~leq:(fun (a : int) b -> a <= b) in
+  let stale key =
+    let i = of_rank.(key mod n) in
+    (not in_pool.(i)) || nd.(i) <> key / n
+  in
+  let refresh i =
+    let d = n_delta faults.(i).Fault_sim.reqs in
+    if d < 0 then begin
+      in_pool.(i) <- false (* direct conflict: rejected *);
+      reject_reason.(i) <- `Conflict
+    end
+    else if d <> nd.(i) then begin
+      nd.(i) <- d;
+      Heap.push heap ((d * n) + rank.(i))
+    end
+  in
+  (* The pool's net -> candidates index, built once per run: the
+     candidates reading net [k] are [slots.(start.(k)) ..
+     slots.(start.(k + 1) - 1)]. *)
+  let index_pool pool =
+    let start = Array.make (nets + 1) 0 in
+    let each f =
+      List.iter (fun i -> List.iter (f i) faults.(i).Fault_sim.reqs) pool
     in
+    each (fun _ (net, _) -> start.(net + 1) <- start.(net + 1) + 1);
+    for k = 1 to nets do
+      start.(k) <- start.(k) + start.(k - 1)
+    done;
+    let fill = Array.sub start 0 nets in
+    let slots = Array.make start.(nets) 0 in
+    each (fun i (net, _) ->
+        slots.(fill.(net)) <- i;
+        fill.(net) <- fill.(net) + 1);
+    (pool, start, slots)
+  in
+  let scan_pool_value_based st (pool, start, slots) =
     List.iter
       (fun i ->
         if not detected.(i) then begin
           in_pool.(i) <- true;
-          refresh i;
-          if in_pool.(i) then
-            List.iter
-              (fun (net, _) ->
-                let ids =
-                  match Hashtbl.find_opt buckets net with
-                  | Some ids -> ids
-                  | None -> []
-                in
-                Hashtbl.replace buckets net (i :: ids))
-              faults.(i).Fault_sim.reqs
+          nd.(i) <- -1 (* no count yet: the first one pushes *);
+          refresh i
         end)
       pool;
-    let argmin () =
-      List.fold_left
-        (fun best i ->
-          if not in_pool.(i) then best
-          else
-            match best with
-            | None -> Some i
-            | Some j ->
-              if
-                nd.(i) < nd.(j)
-                || (nd.(i) = nd.(j) && rank.(i) < rank.(j))
-              then Some i
-              else best)
-        None pool
-    in
     let continue = ref true in
     while !continue do
-      match argmin () with
+      match Heap.pop_while heap stale with
       | None -> continue := false
-      | Some i ->
+      | Some key ->
+        let i = of_rank.(key mod n) in
         in_pool.(i) <- false;
         (match try_candidate st i with
         | None -> ()
         | Some updates ->
+          incr acceptances;
           List.iter
             (fun (net, _) ->
-              match Hashtbl.find_opt buckets net with
-              | None -> ()
-              | Some ids ->
-                List.iter (fun j -> if in_pool.(j) then refresh j) ids)
+              for k = start.(net) to start.(net + 1) - 1 do
+                let j = slots.(k) in
+                if in_pool.(j) && counted_at.(j) <> !acceptances then begin
+                  counted_at.(j) <- !acceptances;
+                  refresh j
+                end
+              done)
             updates)
     done
+  in
+  let indexed_pools =
+    match config.ordering with
+    | Ordering.Value_based -> List.map index_pool pools
+    | Ordering.Uncompacted | Ordering.Arbitrary | Ordering.Length_based -> []
   in
   let next_primary () =
     List.fold_left
@@ -494,21 +625,15 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
         incr aborts;
         Metrics.incr m_primary_aborts
       | Some test ->
-        let st =
-          {
-            test;
-            values = simulate_test test;
-            acc = Hashtbl.create ~random:false 64;
-            det_masks = [||];
-          }
-        in
-        refresh_masks st;
+        let st = { test; acc = Hashtbl.create ~random:false 64 } in
+        simulate_test test;
         let updates =
           match delta st.acc faults.(p0).Fault_sim.reqs with
           | Some (updates, _) -> updates
           | None -> assert false
         in
-        commit st.acc updates;
+        ds.acc_id <- ds.acc_id + 1;
+        commit st updates;
         Implication.reset imp;
         imply imp updates;
         folded_this_test := 0;
@@ -522,18 +647,19 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
             | Ordering.Arbitrary | Ordering.Length_based ->
               List.iter (fun pool -> scan_pool_in_order st pool) pools
             | Ordering.Value_based ->
-              List.iter (fun pool -> scan_pool_value_based st pool) pools);
+              List.iter (scan_pool_value_based st) indexed_pools);
         Metrics.observe_int h_folded_per_test !folded_this_test;
         Hashtbl.replace test_engine id (Justify.Engine.winner engine);
         tests := st.test :: !tests;
         Metrics.incr m_tests;
-        (* Fault simulation: drop everything the final test detects.  The
-           packed masks were refreshed with the last accepted assignment,
-           so this scan is a word-mask read per fault. *)
+        (* Fault simulation: drop everything the final test detects.  A
+           packed mask word still stale from the last accepted assignment
+           is packed on its first read here, so this scan packs each word
+           at most once and is otherwise a word-mask read per fault. *)
         Span.with_ "fault-sim" (fun () ->
             Array.iteri
               (fun i _ ->
-                if (not detected.(i)) && detects st i then begin
+                if (not detected.(i)) && detects i then begin
                   detected.(i) <- true;
                   incr ndet;
                   let via =
@@ -635,9 +761,9 @@ let generate ?ledger ?attrib ?justify c config ~faults ~primaries
             @ disposition @ effort @ forensic))
         faults);
   Option.iter
-    (fun (_, inc) ->
+    (fun inc ->
       Inc_sim.record ~num_gates:(Circuit.num_gates c) (Inc_sim.stats inc))
-    inc_state;
+    inc;
   (match attrib, sheet with
   | Some store, Some sh -> Attrib.merge store sh
   | _ -> ());

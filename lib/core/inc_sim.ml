@@ -15,6 +15,7 @@ type t = {
   c : Circuit.t;
   s : Bit.t array array; (* caller's 3 x nets, aliased *)
   mask : bool array; (* gates the propagation may enter *)
+  mutable masked : int array; (* the gates set in [mask], for [restart] *)
   l1 : Bit.t array; (* remembered per-PI assignments, for diffing *)
   l3 : Bit.t array;
   bucket : int array array;
@@ -43,10 +44,14 @@ let create ?attrib ?gate_mask ?(log = false) c ~s =
       Array.copy m
   in
   let lg = Circuit.level_gates c in
+  let masked =
+    Array.of_list (List.filter (fun gi -> mask.(gi)) (List.init ng Fun.id))
+  in
   {
     c;
     s;
     mask;
+    masked;
     l1 = Array.make np Bit.X;
     l3 = Array.make np Bit.X;
     bucket = Array.map (fun b -> Array.make (Array.length b) 0) lg;
@@ -71,6 +76,15 @@ let reset_stats t =
   t.st.Wsim.Inc.assigns <- 0;
   t.st.Wsim.Inc.resim_gates <- 0;
   t.st.Wsim.Inc.early_stops <- 0
+
+let restart t ~gates =
+  Array.iter (fun gi -> t.mask.(gi) <- false) t.masked;
+  Array.iter (fun gi -> t.mask.(gi) <- true) gates;
+  t.masked <- gates;
+  Array.fill t.l1 0 (Array.length t.l1) Bit.X;
+  Array.fill t.l3 0 (Array.length t.l3) Bit.X;
+  reset_stats t;
+  t.log_len <- 0
 
 let log t = t.log
 

@@ -46,6 +46,16 @@ val propagate : t -> unit
 (** Drain the dirty worklist in level order.  With no pending changes
     this is a no-op (plus one counted assign). *)
 
+val restart : t -> gates:int array -> unit
+(** [restart t ~gates] readies [t] for a new run over the same state, as
+    a fresh instance whose gate mask holds exactly [gates]: the
+    remembered assignments go back to all-[X], the counters and the log
+    are cleared.  The caller must first return [s] to all-[X] (the
+    nets a run writes are the PIs it set and the outputs of masked
+    gates), and no change may be pending ({!propagate} has run since the
+    last {!set_pi}).  Costs O(PIs + old and new [gates]); allocates
+    nothing. *)
+
 (** {2 Changed-net log}
 
     With [~log:true], {!set_pi} and {!propagate} append every net they

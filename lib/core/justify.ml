@@ -85,6 +85,23 @@ type t = {
   support : int array;
   clean1 : int array;
   clean3 : int array;
+  (* Search scratch, shared by every search of the engine (one at a
+     time): the requirement planes [r] and persistent simulation [s]
+     (3 x nets), the per-PI assignments [a1]/[a3], and the incremental
+     maintainer of [s], created on the first search that uses it.  All
+     of it is [X] outside the footprint of the current search, which is
+     recorded in [used_*] so the next search resets only those nets
+     ({!make_search}).  [net_mark] stamps the nets of the current
+     search's cone with [search_id]. *)
+  r : Bit.t array array;
+  s : Bit.t array array;
+  a1 : Bit.t array;
+  a3 : Bit.t array;
+  mutable inc : Inc_sim.t option;
+  net_mark : int array;
+  mutable used_reqs : int array;
+  mutable used_pis : int array;
+  mutable used_gates : int array;
 }
 
 (* [gi]'s PI support: the union of its fanins' supports, filled in
@@ -137,6 +154,15 @@ let create ?attrib circuit =
     support = build_support circuit words;
     clean1 = Array.make words 0;
     clean3 = Array.make words 0;
+    r = Array.init 3 (fun _ -> Array.make n Bit.X);
+    s = Array.init 3 (fun _ -> Array.make n Bit.X);
+    a1 = Array.make circuit.Circuit.num_pis Bit.X;
+    a3 = Array.make circuit.Circuit.num_pis Bit.X;
+    inc = None;
+    net_mark = Array.make n 0;
+    used_reqs = [||];
+    used_pis = [||];
+    used_gates = [||];
   }
 
 let runs t = t.e_runs
@@ -205,13 +231,14 @@ let mismatch req value =
 let eval_gate_get = Pdf_sim.Logic_sim.eval_gate_get
 
 (* Fan-in cone of the requirement nets: only these gates can influence a
-   requirement, and only these PIs are worth searching. *)
-let compute_cone c req_nets =
-  let n = Circuit.num_nets c in
-  let in_cone = Array.make n false in
+   requirement, and only these PIs are worth searching.  Marks the cone's
+   nets in [engine.net_mark] with the current [search_id]. *)
+let compute_cone engine req_nets =
+  let c = engine.circuit and id = engine.search_id in
+  let mark = engine.net_mark in
   let rec visit net =
-    if not in_cone.(net) then begin
-      in_cone.(net) <- true;
+    if mark.(net) <> id then begin
+      mark.(net) <- id;
       match Circuit.gate_of_net c net with
       | None -> ()
       | Some g -> Array.iter visit (c : Circuit.t).gates.(g).Circuit.fanins
@@ -220,11 +247,11 @@ let compute_cone c req_nets =
   Array.iter visit req_nets;
   let cone_gates = ref [] in
   for g = Circuit.num_gates c - 1 downto 0 do
-    if in_cone.(Circuit.net_of_gate c g) then cone_gates := g :: !cone_gates
+    if mark.(Circuit.net_of_gate c g) = id then cone_gates := g :: !cone_gates
   done;
   let cone_pis = ref [] in
   for pi = c.Circuit.num_pis - 1 downto 0 do
-    if in_cone.(pi) then cone_pis := pi :: !cone_pis
+    if mark.(pi) = id then cone_pis := pi :: !cone_pis
   done;
   (Array.of_list !cone_gates, Array.of_list !cone_pis)
 
@@ -256,6 +283,19 @@ let changed engine net =
     c3.(w) <- c3.(w) land keep
   end
 
+(* Full-pass write of [net]'s three components, reporting a change. *)
+let set_changed st net v0 v1 v2 =
+  let s0 = st.s.(0) and s1 = st.s.(1) and s2 = st.s.(2) in
+  if
+    not
+      (Bit.equal v0 s0.(net) && Bit.equal v1 s1.(net) && Bit.equal v2 s2.(net))
+  then begin
+    changed st.eng net;
+    s0.(net) <- v0;
+    s1.(net) <- v1;
+    s2.(net) <- v2
+  end
+
 (* Bring [st.s] up to date with [st.a1]/[st.a3].  Incrementally when the
    engine is enabled: only cone PIs whose assignment actually changed
    are seeded and only their dirty fanout cone is re-evaluated, instead
@@ -285,30 +325,19 @@ let resim st =
     done;
     Inc_sim.clear_log inc
   | None ->
-    let s0 = st.s.(0) and s1 = st.s.(1) and s2 = st.s.(2) in
-    let set net v0 v1 v2 =
-      if
-        not (Bit.equal v0 s0.(net) && Bit.equal v1 s1.(net)
-             && Bit.equal v2 s2.(net))
-      then begin
-        changed st.eng net;
-        s0.(net) <- v0;
-        s1.(net) <- v1;
-        s2.(net) <- v2
-      end
-    in
-    Array.iter
-      (fun pi ->
-        set pi st.a1.(pi)
-          (Two_pattern.middle_of_pair st.a1.(pi) st.a3.(pi))
-          st.a3.(pi))
-      st.cone_pis;
     let eval = Pdf_sim.Logic_sim.eval_gate in
-    Array.iter
-      (fun gi ->
-        let g = st.c.Circuit.gates.(gi) in
-        set (Circuit.net_of_gate st.c gi) (eval s0 g) (eval s1 g) (eval s2 g))
-      st.cone_gates
+    let s0 = st.s.(0) and s1 = st.s.(1) and s2 = st.s.(2) in
+    for i = 0 to Array.length st.cone_pis - 1 do
+      let pi = st.cone_pis.(i) in
+      let b1 = st.a1.(pi) and b3 = st.a3.(pi) in
+      set_changed st pi b1 (Two_pattern.middle_of_pair b1 b3) b3
+    done;
+    for i = 0 to Array.length st.cone_gates - 1 do
+      let gi = st.cone_gates.(i) in
+      let g = st.c.Circuit.gates.(gi) in
+      set_changed st (Circuit.net_of_gate st.c gi) (eval s0 g) (eval s1 g)
+        (eval s2 g)
+    done
 
 (* First requirement net whose persistent value contradicts it — the
    net blamed when an assignment's resimulation reveals a conflict. *)
@@ -614,12 +643,27 @@ let build_test st =
     st.cone_pis;
   Test_pair.create v1 v3
 
-(* Shared state construction for both search strategies. *)
+(* Shared state construction for both search strategies.  The engine's
+   scratch is first returned to all-[X] over the previous search's
+   footprint: its requirement nets, cone PIs and cone gate outputs are
+   the only entries a search writes. *)
 let make_search engine rng merged =
   let c = engine.circuit in
-  let n = Circuit.num_nets c in
+  let r = engine.r and s = engine.s in
+  for k = 0 to 2 do
+    let rk = r.(k) and sk = s.(k) in
+    Array.iter (fun net -> rk.(net) <- Bit.X) engine.used_reqs;
+    Array.iter (fun pi -> sk.(pi) <- Bit.X) engine.used_pis;
+    Array.iter
+      (fun gi -> sk.(Circuit.net_of_gate c gi) <- Bit.X)
+      engine.used_gates
+  done;
+  Array.iter
+    (fun pi ->
+      engine.a1.(pi) <- Bit.X;
+      engine.a3.(pi) <- Bit.X)
+    engine.used_pis;
   let req_nets = Array.of_list (List.map fst merged) in
-  let r = Array.init 3 (fun _ -> Array.make n Bit.X) in
   List.iter
     (fun (net, (req : Req.t)) ->
       let comp_bit = function
@@ -630,17 +674,29 @@ let make_search engine rng merged =
       r.(1).(net) <- comp_bit req.Req.r2;
       r.(2).(net) <- comp_bit req.Req.r3)
     merged;
-  let cone_gates, cone_pis = compute_cone c req_nets in
   engine.search_id <- engine.search_id + 1;
+  let cone_gates, cone_pis = compute_cone engine req_nets in
   Array.iter (fun gi -> engine.cone_mark.(gi) <- engine.search_id) cone_gates;
+  engine.used_reqs <- req_nets;
+  engine.used_pis <- cone_pis;
+  engine.used_gates <- cone_gates;
   Array.fill engine.clean1 0 engine.words 0;
   Array.fill engine.clean3 0 engine.words 0;
-  let s = Array.init 3 (fun _ -> Array.make n Bit.X) in
   let inc =
     if Wsim.incsim_enabled () then begin
-      let mask = Array.make (Circuit.num_gates c) false in
-      Array.iter (fun gi -> mask.(gi) <- true) cone_gates;
-      Some (Inc_sim.create ?attrib:engine.att ~gate_mask:mask ~log:true c ~s)
+      let inc =
+        match engine.inc with
+        | Some inc -> inc
+        | None ->
+          let mask = Array.make (Circuit.num_gates c) false in
+          let inc =
+            Inc_sim.create ?attrib:engine.att ~gate_mask:mask ~log:true c ~s
+          in
+          engine.inc <- Some inc;
+          inc
+      in
+      Inc_sim.restart inc ~gates:cone_gates;
+      Some inc
     end
     else None
   in
@@ -652,8 +708,8 @@ let make_search engine rng merged =
     req_nets;
     cone_gates;
     cone_pis;
-    a1 = Array.make c.Circuit.num_pis Bit.X;
-    a3 = Array.make c.Circuit.num_pis Bit.X;
+    a1 = engine.a1;
+    a3 = engine.a3;
     s;
     inc;
     unspecified = 2 * Array.length cone_pis;

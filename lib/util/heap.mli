@@ -1,7 +1,9 @@
 (** Mutable binary heap with a caller-supplied ordering.
 
-    Used with lazy deletion by the path enumerator: stale entries stay in
-    the heap and are skipped by the caller on pop. *)
+    Used with lazy deletion by the path enumerator and by the
+    value-based compaction scan of [Atpg.generate]: stale entries stay in
+    the heap and are skipped by the caller on pop ({!pop_while}).  The
+    timing simulator uses it as a plain event queue. *)
 
 type 'a t
 
